@@ -59,6 +59,7 @@ from .models import (
     FracDiffCoeffs,
     ModelSpec,
     aicc,
+    fit,
     fit_arfima,
     fit_arima,
     fit_mean,

@@ -25,19 +25,7 @@ from . import __version__
 from .errors import LrdForecastError
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
-from .models import (
-    ARFIMA,
-    ARIMA,
-    FAMILIES,
-    FittedModel,
-    ModelSpec,
-    fit_arfima,
-    fit_arima,
-    fit_mean,
-    fit_naive,
-    forecast,
-    rebind,
-)
+from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
 from .series import TimeSeries, TransformSpec, acf, ingest_csv, transform, write_csv
 from .synthgen import KINDS, GenSpec, generate
 
@@ -111,6 +99,18 @@ def _require_file(path) -> None:
         raise CliValidationError(f"input file not found: {path}")
 
 
+def _read_json_object(path, what: str) -> dict:
+    _require_file(path)
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise CliValidationError(f"bad {what} file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CliValidationError(f"{what} file must hold a JSON object")
+    return doc
+
+
 def _parse_lambda(text: str):
     if text.lower() in ("none", "off"):
         return None
@@ -181,49 +181,67 @@ def _transform_doc(spec: TransformSpec | None):
     return {"lambda": spec.lmbda, "applied": spec.applied}
 
 
+def _transform_from_doc(doc):
+    if doc is None:
+        return None
+    return TransformSpec(lmbda=float(doc["lambda"]), applied=bool(doc["applied"]))
+
+
+def _number(value):
+    # keeps the JSON type, so ARIMA's integer d reads back as an integer
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _float_or_nan(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
+def _floats(value) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return out
+
+
+# The model document: (key, decoder) for each ModelSpec field, then for each
+# fitted quantity a forecast needs. Writer and reader both follow these lists.
+_SPEC_FIELDS = (
+    ("family", str),
+    ("p", int),
+    ("d", _number),
+    ("q", int),
+    ("include_mean", bool),
+)
+_FIT_FIELDS = (
+    ("phi", _floats),
+    ("theta", _floats),
+    ("mean", float),
+    ("sigma2", float),
+    ("aicc", _float_or_nan),
+    ("loglik", _float_or_nan),
+    ("n", int),
+    ("transform", _transform_from_doc),
+)
+
+
 def _model_doc(model: FittedModel) -> dict:
-    return {
-        "family": model.spec.family,
-        "p": model.spec.p,
-        "d": model.spec.d,
-        "q": model.spec.q,
-        "include_mean": model.spec.include_mean,
-        "phi": model.phi,
-        "theta": model.theta,
-        "mean": model.mean,
-        "sigma2": model.sigma2,
-        "aicc": model.aicc,
-        "loglik": model.loglik,
-        "n": model.n,
-        "transform": _transform_doc(model.transform),
-    }
+    doc = {key: getattr(model.spec, key) for key, _ in _SPEC_FIELDS}
+    doc.update((key, getattr(model, key)) for key, _ in _FIT_FIELDS)
+    doc["transform"] = _transform_doc(model.transform)
+    return doc
 
 
 def _model_from_doc(doc: dict) -> FittedModel:
-    spec = ModelSpec(
-        family=doc["family"],
-        p=int(doc["p"]),
-        d=float(doc["d"]) if doc["family"] == ARFIMA else int(doc["d"]),
-        q=int(doc["q"]),
-        include_mean=bool(doc["include_mean"]),
-    )
-    tdoc = doc.get("transform")
-    tspec = None
-    if tdoc is not None:
-        tspec = TransformSpec(lmbda=float(tdoc["lambda"]), applied=bool(tdoc["applied"]))
-    return FittedModel(
-        spec=spec,
-        phi=np.asarray(doc["phi"], dtype=float),
-        theta=np.asarray(doc["theta"], dtype=float),
-        mean=float(doc["mean"]),
-        sigma2=float(doc["sigma2"]),
-        residuals=np.zeros(0),
-        aicc=float(doc["aicc"]) if doc["aicc"] is not None else float("nan"),
-        loglik=float(doc["loglik"]) if doc["loglik"] is not None else float("nan"),
-        transform=tspec,
-        n=int(doc["n"]),
-        history=np.zeros(1),
-    )
+    try:
+        spec = ModelSpec(**{key: decode(doc[key]) for key, decode in _SPEC_FIELDS})
+        fitted = {key: decode(doc[key]) for key, decode in _FIT_FIELDS}
+    except KeyError as exc:
+        raise CliValidationError(f"model document lacks {exc}") from None
+    except (TypeError, ValueError, LrdForecastError) as exc:
+        raise CliValidationError(f"bad model document: {exc}") from None
+    return FittedModel(spec=spec, residuals=np.zeros(0), history=np.zeros(1), **fitted)
 
 
 def _config_doc(config: CvConfig) -> dict:
@@ -327,29 +345,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fit(args) -> int:
     _require_file(args.series)
-    if args.family not in FAMILIES:
-        raise CliValidationError(f"unknown family {args.family!r}")
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
     lmbda = _parse_lambda(args.lmbda)
     if lmbda is not None:
         series = transform(series, TransformSpec(lmbda=lmbda))
-    if args.family == ARIMA:
-        model = fit_arima(
-            series,
-            max_p=5 if args.max_p is None else args.max_p,
-            max_q=5 if args.max_q is None else args.max_q,
-            max_d=args.max_d,
-        )
-    elif args.family == ARFIMA:
-        model = fit_arfima(
-            series,
-            max_p=2 if args.max_p is None else args.max_p,
-            max_q=2 if args.max_q is None else args.max_q,
-        )
-    elif args.family == "naive":
-        model = fit_naive(series)
-    else:
-        model = fit_mean(series)
+    model = fit(series, args.family, args.max_p, args.max_q, args.max_d)
     _write_json(args.out, _model_doc(model))
     _write_manifest(
         args.out + ".manifest.json",
@@ -372,14 +372,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_forecast(args) -> int:
-    _require_file(args.model)
     _require_file(args.series)
     if args.steps < 1:
         raise CliValidationError("--steps must be >= 1")
     if not 0.0 < args.level < 1.0:
         raise CliValidationError("--level must lie in (0, 1)")
-    with open(args.model) as fh:
-        model = _model_from_doc(json.load(fh))
+    model = _model_from_doc(_read_json_object(args.model, "model"))
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
     if model.transform is not None and model.transform.applied:
         series = transform(series, TransformSpec(lmbda=model.transform.lmbda))
@@ -432,16 +430,7 @@ def _cv_worker(task):
 
 
 def _crossval_config(args) -> CvConfig:
-    file_cfg = {}
-    if args.config is not None:
-        _require_file(args.config)
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliValidationError(f"bad config file: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise CliValidationError("config file must hold a flat JSON object")
+    file_cfg = {} if args.config is None else _read_json_object(args.config, "config")
 
     def pick(flag_value, key, fallback):
         if flag_value is not None:
@@ -583,7 +572,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fit", help="fit one forecasting model")
     p.add_argument("series")
     _add_io_flags(p)
-    p.add_argument("--family", required=True, help=f"one of {', '.join(FAMILIES)}")
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--lambda", dest="lmbda", default="0",
                    help="Box-Cox lambda, or 'none' to fit on the raw scale")
     p.add_argument("--max-p", type=int, default=None,

@@ -16,12 +16,13 @@ from .errors import (
     ConfigMismatch,
     ConfigTooLargeForSeries,
     LengthMismatch,
+    LrdForecastError,
     MalformedInput,
     NonPositiveValue,
     ZeroActual,
     ZeroBaseline,
 )
-from .models import ARFIMA, ARIMA, FAMILIES, MEAN, NAIVE, fit_arfima, fit_arima, fit_mean, fit_naive, forecast
+from .models import ARFIMA, ARIMA, FAMILIES, MEAN, NAIVE, fit, forecast
 from .series import TimeSeries, TransformSpec, transform
 
 
@@ -119,16 +120,11 @@ def improvement(mape_baseline: float, mape_candidate: float) -> float:
     return float((mape_baseline - mape_candidate) / mape_baseline * 100.0)
 
 
-_FITTERS = {
-    NAIVE: fit_naive,
-    MEAN: fit_mean,
-    ARIMA: fit_arima,
-    ARFIMA: fit_arfima,
-}
-
-
 def _improvement_table(per_method: dict, methods) -> dict:
+    """Pairwise improvements; empty unless every method scored an origin."""
     out = {}
+    if any(ms.count == 0 for ms in per_method.values()):
+        return out
     for a in methods:
         for b in methods:
             if a == b:
@@ -188,9 +184,9 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
         points = {}
         try:
             for m in config.methods:
-                model = _FITTERS[m](win)
+                model = fit(win, m)
                 points[m] = forecast(model, config.max_horizon, config.level).point
-        except Exception as exc:  # noqa: BLE001 - any failed fit excludes the origin
+        except (LrdForecastError, np.linalg.LinAlgError) as exc:
             excluded.append((origin, m, f"{type(exc).__name__}: {exc}"))
             continue
         for m in config.methods:
@@ -203,14 +199,9 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
         e = np.asarray(errors[m]) if errors[m] else np.empty((0, config.max_horizon))
         p = np.asarray(pct[m]) if pct[m] else np.empty((0, config.max_horizon))
         per_method[m] = _metrics_from_matrices(e, p)
-    improvements = (
-        _improvement_table(per_method, config.methods)
-        if all(ms.count > 0 for ms in per_method.values())
-        else {}
-    )
     return CvReport(
         per_method=per_method,
-        improvements=improvements,
+        improvements=_improvement_table(per_method, config.methods),
         series_label=series.label,
         config=config,
         excluded_origins=tuple(excluded),
@@ -244,18 +235,11 @@ def aggregate_reports(reports) -> CvReport:
         e = np.vstack([r.per_method[m].errors for r in reports])
         p = np.vstack([r.per_method[m].pct_errors for r in reports])
         per_method[m] = _metrics_from_matrices(e, p)
-    improvements = (
-        _improvement_table(per_method, config.methods)
-        if all(ms.count > 0 for ms in per_method.values())
-        else {}
-    )
-    excluded = tuple(x for r in reports for x in r.excluded_origins)
-    label = ";".join(r.series_label for r in reports)
     return CvReport(
         per_method=per_method,
-        improvements=improvements,
-        series_label=label,
+        improvements=_improvement_table(per_method, config.methods),
+        series_label=";".join(r.series_label for r in reports),
         config=config,
-        excluded_origins=excluded,
+        excluded_origins=tuple(x for r in reports for x in r.excluded_origins),
         boxplot=_boxplot_quantiles(per_method),
     )

@@ -27,6 +27,7 @@ from .errors import (
     NoAdmissibleModel,
     SeriesTooShort,
 )
+from .lrd import adf_test
 from .series import TimeSeries, TransformSpec, inv_boxcox
 
 NAIVE = "naive"
@@ -118,14 +119,6 @@ def _fracdiff_weights(d: float, length: int) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod((j - 1 - d) / j)))
 
 
-def _fracint_weights(d: float, length: int) -> np.ndarray:
-    """Coefficients of (1-B)**(-d) via eta_j = eta_{j-1} * (j-1+d) / j."""
-    if length == 1:
-        return np.ones(1)
-    j = np.arange(1, length)
-    return np.concatenate(([1.0], np.cumprod((j - 1 + d) / j)))
-
-
 def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
     """Expansion coefficients of the differencing operator and its inverse.
 
@@ -138,7 +131,7 @@ def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
     if length < 1:
         raise MalformedInput("length must be >= 1")
     return FracDiffCoeffs(
-        d=d, pi=_fracdiff_weights(d, length), eta=_fracint_weights(d, length)
+        d=d, pi=_fracdiff_weights(d, length), eta=_fracdiff_weights(-d, length)
     )
 
 
@@ -299,6 +292,34 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
     return 0.5 * (a + b)
 
 
+def _search_orders(cell, n: int, max_p: int, max_q: int, extra: int, name: str):
+    """Exhaustive AICc search over the (p, q) grid up to the bounds.
+
+    cell(p, q) fits one cell on n effective observations and returns
+    (phi, theta, css, aux); it is called row by row, q fastest. Cells whose
+    AICc denominator n - p - q - 2 - extra is not positive are skipped,
+    non-finite or inadmissible fits are rejected, and AICc ties break toward
+    fewer parameters, then fewer AR terms. Returns the winner's
+    (p, q, phi, theta, css, aux, loglik, aicc).
+    """
+    best = None
+    for p in range(max_p + 1):
+        for q in range(max_q + 1):
+            if n - p - q - 2 - extra <= 0:
+                continue
+            phi, theta, css, aux = cell(p, q)
+            if css <= 0 or not np.isfinite(css) or not _admissible(phi, theta):
+                continue
+            ll = _gaussian_loglik(css, n)
+            crit = aicc(ll, n, p, q, extra_params=extra)
+            key = (crit, p + q, p)
+            if best is None or key < best[0]:
+                best = (key, (p, q, phi, theta, css, aux, ll, crit))
+    if best is None:
+        raise NoAdmissibleModel(f"no causal and invertible {name} candidate")
+    return best[1]
+
+
 # ---------------------------------------------------------------------------
 # model fitting
 
@@ -360,13 +381,6 @@ def fit_mean(series: TimeSeries) -> FittedModel:
     )
 
 
-def _adf_stationary(values: np.ndarray) -> bool:
-    # local import: lrd depends on series only, so no cycle
-    from .lrd import adf_test
-
-    return adf_test(TimeSeries(values)).stationary_at_5pct
-
-
 def fit_arima(
     series: TimeSeries, max_p: int = 5, max_q: int = 5, max_d: int = 2
 ) -> FittedModel:
@@ -387,7 +401,7 @@ def fit_arima(
     d = None
     for cand in range(0, max_d + 1):
         wd = np.diff(w, n=cand) if cand else w
-        if wd.size >= 25 and _adf_stationary(wd):
+        if wd.size >= 25 and adf_test(TimeSeries(wd)).stationary_at_5pct:
             d = cand
             break
     if d is None:
@@ -399,29 +413,18 @@ def fit_arima(
     n_eff = x.size
     extra = 1 if include_mean else 0
 
-    best = None
-    for p in range(max_p + 1):
-        row_sol = None  # warm-start each cell from the previous q in the row
-        for q in range(max_q + 1):
-            if n_eff - p - q - 2 - extra <= 0:
-                continue
-            warm = None
-            if q > 0 and row_sol is not None:
-                warm = np.concatenate([row_sol[0], row_sol[1], [0.0]])
-                if warm.size != p + q:
-                    warm = None
-            phi, theta, css, z = _css_fit_arma(x, p, q, warm=warm)
-            row_sol = (phi, theta)
-            if css <= 0 or not np.isfinite(css) or not _admissible(phi, theta):
-                continue
-            ll = _gaussian_loglik(css, n_eff)
-            crit = aicc(ll, n_eff, p, q, extra_params=extra)
-            key = (crit, p + q, p)
-            if best is None or key < best[0]:
-                best = (key, p, q, phi, theta, css, z, ll, crit)
-    if best is None:
-        raise NoAdmissibleModel("no causal and invertible ARIMA candidate")
-    _, p, q, phi, theta, css, z, ll, crit = best
+    prev = []
+
+    def cell(p, q):
+        # warm-start each MA cell from the previous q in its row
+        warm = np.concatenate([*prev, [0.0]]) if q else None
+        phi, theta, css, z = _css_fit_arma(x, p, q, warm=warm)
+        prev[:] = [phi, theta]
+        return phi, theta, css, z
+
+    p, q, phi, theta, css, z, ll, crit = _search_orders(
+        cell, n_eff, max_p, max_q, extra, "ARIMA"
+    )
     return FittedModel(
         spec=ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean),
         phi=phi,
@@ -465,7 +468,7 @@ def _fit_arfima_cell(x0: np.ndarray, p: int, q: int, fix_d: float | None):
         d_hat = _golden_min(css_of, lo, hi, tol=1e-3)
     css = css_of(d_hat)
     _, phi, theta = cache[float(d_hat)]
-    return d_hat, phi, theta, css
+    return phi, theta, css, d_hat
 
 
 def fit_arfima(
@@ -491,22 +494,9 @@ def fit_arfima(
     mu = float(w.mean())
     x0 = w - mu
 
-    best = None
-    for p in range(max_p + 1):
-        for q in range(max_q + 1):
-            if n - p - q - 4 <= 0:
-                continue
-            d_hat, phi, theta, css = _fit_arfima_cell(x0, p, q, fix_d)
-            if css <= 0 or not np.isfinite(css) or not _admissible(phi, theta):
-                continue
-            ll = _gaussian_loglik(css, n)
-            crit = aicc(ll, n, p, q, extra_params=2)
-            key = (crit, p + q, p, d_hat)
-            if best is None or key < best[0]:
-                best = (key, p, q, d_hat, phi, theta, css, ll, crit)
-    if best is None:
-        raise NoAdmissibleModel("no causal and invertible fractional candidate")
-    _, p, q, d_hat, phi, theta, css, ll, crit = best
+    p, q, phi, theta, css, d_hat, ll, crit = _search_orders(
+        lambda p, q: _fit_arfima_cell(x0, p, q, fix_d), n, max_p, max_q, 2, "fractional"
+    )
     z = _innovations(_apply_fracdiff(x0, d_hat), phi, theta)
     return FittedModel(
         spec=ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True),
@@ -521,6 +511,34 @@ def fit_arfima(
         n=n,
         history=series.values.copy(),
     )
+
+
+_FITTERS = {
+    NAIVE: (fit_naive, ()),
+    MEAN: (fit_mean, ()),
+    ARIMA: (fit_arima, ("max_p", "max_q", "max_d")),
+    ARFIMA: (fit_arfima, ("max_p", "max_q")),
+}
+
+
+def fit(
+    series: TimeSeries,
+    family: str,
+    max_p: int | None = None,
+    max_q: int | None = None,
+    max_d: int | None = None,
+) -> FittedModel:
+    """Fit one model family with its fitter's default order bounds.
+
+    A bound that is given replaces the default of a family that takes it;
+    bounds a family does not take (all of them for naive and mean, max_d
+    for the fractional model) are ignored.
+    """
+    if family not in _FITTERS:
+        raise MalformedInput(f"unknown model family {family!r}")
+    fitter, takes = _FITTERS[family]
+    given = {"max_p": max_p, "max_q": max_q, "max_d": max_d}
+    return fitter(series, **{k: given[k] for k in takes if given[k] is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +558,7 @@ def _ar_weights(model: FittedModel, length: int) -> np.ndarray:
 
 def _psi_weights(model: FittedModel, h: int) -> np.ndarray:
     """Moving-average expansion theta(B) (1-B)^(-d) / phi(B), first h terms."""
-    eta = _fracint_weights(model.spec.d, h)
+    eta = _fracdiff_weights(-model.spec.d, h)
     num = np.convolve(_mapoly(model.theta), eta)[:h]
     impulse = np.zeros(h)
     impulse[0] = 1.0
@@ -618,10 +636,8 @@ def rebind(model: FittedModel, series: TimeSeries) -> FittedModel:
     if series.transform != model.transform:
         raise MalformedInput("series transform does not match the model's")
     fam = model.spec.family
-    if fam == NAIVE:
-        return fit_naive(series)
-    if fam == MEAN:
-        return fit_mean(series)
+    if fam in (NAIVE, MEAN):
+        return fit(series, fam)
     d = model.spec.d
     if fam == ARIMA:
         wd = np.diff(series.values, n=int(d)) if d else series.values

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .errors import InvalidD, InvalidSpec, NonEmbeddableCovariance
-from .models import _admissible, _arpoly, _fracint_weights, _mapoly
+from .models import _admissible, _arpoly, _fracdiff_weights, _mapoly
 from .series import TimeSeries
 
 WHITE_NOISE = "white_noise"
@@ -125,7 +125,7 @@ def generate(spec: GenSpec) -> TimeSeries:
     elif spec.kind == ARFIMA:
         total = n + _BURN_IN
         e = spec.sigma * rng.standard_normal(total)
-        eta = _fracint_weights(spec.d, total)
+        eta = _fracdiff_weights(-spec.d, total)
         y = fftconvolve(eta, e)[:total]
         if spec.phi or spec.theta:
             y = lfilter(_mapoly(spec.theta), _arpoly(spec.phi), y)

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from lrdforecast.cli import main
+from lrdforecast import TransformSpec, fit, forecast, ingest_csv, rebind, transform
+from lrdforecast.cli import _model_doc, _model_from_doc, _write_json, main
 
 
 def run(*argv):
@@ -118,6 +119,41 @@ class TestFitForecast:
     def test_bad_family(self, sim_csv, tmp_path):
         rc = run("fit", str(sim_csv), "--family", "ets", "--out", str(tmp_path / "m.json"))
         assert rc == 1
+
+    @pytest.mark.parametrize("family", ["naive", "mean", "arima", "arfima"])
+    def test_model_document_round_trip(self, sim_csv, tmp_path, family):
+        first, second = tmp_path / "m1.json", tmp_path / "m2.json"
+        fc = tmp_path / "fc.csv"
+        assert run("fit", str(sim_csv), "--family", family, "--out", str(first)) == 0
+        model = _model_from_doc(json.loads(first.read_text()))
+        _write_json(second, _model_doc(model))
+        assert first.read_bytes() == second.read_bytes()
+
+        series = transform(ingest_csv(str(sim_csv)), TransformSpec(lmbda=0.0))
+        reread = _model_from_doc(json.loads(second.read_text()))
+        expected = forecast(rebind(model, series), 8)
+        got = forecast(rebind(reread, series), 8)
+        for name in ("point", "lower", "upper"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
+        assert run("forecast", "--model", str(second), "--series", str(sim_csv),
+                   "--steps", "8", "--out", str(fc)) == 0
+        rows = [line.split(",") for line in fc.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [f"{v:.9g}" for v in expected.point]
+
+        # the document keeps 9 significant digits of the in-memory fit
+        direct = forecast(rebind(fit(series, family), series), 8)
+        np.testing.assert_allclose(got.point, direct.point, rtol=1e-6)
+
+    @pytest.mark.parametrize("content", ['{"family": "arfima"}', "not json", "[1, 2]"])
+    def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
+        model, out = tmp_path / "bad.json", tmp_path / "fc.csv"
+        model.write_text(content)
+        rc = run("forecast", "--model", str(model), "--series", str(sim_csv),
+                 "--steps", "4", "--out", str(out))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validation"
+        assert not out.exists()
 
 
 class TestCrossval:

@@ -156,20 +156,33 @@ class TestRollingCv:
         plain = rolling_cv(s, cfg)
         target_count = plain.per_method["naive"].count
 
-        real = evaluation._FITTERS["mean"]
+        real = evaluation.fit
         calls = {"i": 0}
 
-        def flaky(series):
-            calls["i"] += 1
-            if calls["i"] == 3:
-                raise MalformedInput("injected failure")
-            return real(series)
+        def flaky(series, family):
+            if family == "mean":
+                calls["i"] += 1
+                if calls["i"] == 3:
+                    raise MalformedInput("injected failure")
+            return real(series, family)
 
-        monkeypatch.setitem(evaluation._FITTERS, "mean", flaky)
+        monkeypatch.setattr(evaluation, "fit", flaky)
         rep = rolling_cv(s, cfg)
         assert len(rep.excluded_origins) == 1
         for ms in rep.per_method.values():
             assert ms.count == target_count - 1
+
+    def test_programming_error_propagates(self, monkeypatch):
+        # only the package's own errors and singular linear algebra mark an
+        # origin as failed; anything else is a defect and must surface
+        s = generate(GenSpec(kind="white_noise", n=120, seed=5, offset=50.0))
+
+        def broken(series, family):
+            raise TypeError("injected defect")
+
+        monkeypatch.setattr(evaluation, "fit", broken)
+        with pytest.raises(TypeError, match="injected defect"):
+            rolling_cv(s, _small_config())
 
     def test_naive_near_optimal_on_random_walk_h1(self):
         # the last value is the exact one-step conditional median of a

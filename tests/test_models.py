@@ -20,6 +20,7 @@ from lrdforecast import (
     TimeSeries,
     TransformSpec,
     aicc,
+    fit,
     fit_arfima,
     fit_arima,
     fit_mean,
@@ -30,7 +31,7 @@ from lrdforecast import (
     generate,
     transform,
 )
-from lrdforecast.models import FittedModel, _arpoly, _fracint_weights, _mapoly, rebind
+from lrdforecast.models import FittedModel, _arpoly, _mapoly, rebind
 
 
 class TestFracDiffCoeffs:
@@ -347,7 +348,7 @@ class TestForecast:
         x = generate(GenSpec(kind="arfima", n=n, seed=7, d=d)).values
         model = _pure_fractional_model(d, x)
         fc = forecast(model, h)
-        eta = _fracint_weights(d, n + h)
+        eta = frac_diff_coeffs(d, n + h).eta
         L = np.zeros((n + h, n + h))
         for t in range(n + h):
             L[t, : t + 1] = eta[: t + 1][::-1]
@@ -379,6 +380,41 @@ class TestForecast:
         assert model.spec.d == 1
         fc = forecast(model, 10)
         assert abs(fc.point[0] - s.values[-1]) < 5 * np.sqrt(model.sigma2)
+
+
+def _assert_same_fit(a, b):
+    for f in dataclasses.fields(FittedModel):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            np.testing.assert_array_equal(va, vb)
+        else:
+            assert va == vb, f.name
+
+
+class TestFitDispatch:
+    @pytest.fixture(scope="class")
+    def window(self):
+        s = generate(GenSpec(kind="arfima", n=96, seed=3, d=0.3, offset=30.0))
+        return transform(s, TransformSpec(0.0))
+
+    @pytest.mark.parametrize(
+        "family, fitter",
+        [("naive", fit_naive), ("mean", fit_mean), ("arima", fit_arima), ("arfima", fit_arfima)],
+    )
+    def test_matches_family_fitter(self, window, family, fitter):
+        _assert_same_fit(fit(window, family), fitter(window))
+
+    def test_passes_only_the_bounds_a_family_takes(self, window):
+        _assert_same_fit(
+            fit(window, "arima", max_p=1, max_q=2, max_d=1),
+            fit_arima(window, max_p=1, max_q=2, max_d=1),
+        )
+        _assert_same_fit(fit(window, "arfima", max_q=1, max_d=0), fit_arfima(window, max_q=1))
+        _assert_same_fit(fit(window, "mean", max_p=3), fit_mean(window))
+
+    def test_unknown_family(self, window):
+        with pytest.raises(MalformedInput):
+            fit(window, "ets")
 
 
 class TestRebind:
