@@ -241,6 +241,11 @@ def _model_from_doc(doc: dict) -> FittedModel:
         raise CliValidationError(f"model document lacks {exc}") from None
     except (TypeError, ValueError, LrdForecastError) as exc:
         raise CliValidationError(f"bad model document: {exc}") from None
+    if (spec.p, spec.q) != (fitted["phi"].size, fitted["theta"].size):
+        raise CliValidationError(
+            f"bad model document: p={spec.p}, q={spec.q} but "
+            f"{fitted['phi'].size} phi and {fitted['theta'].size} theta coefficients"
+        )
     return FittedModel(spec=spec, residuals=np.zeros(0), history=np.zeros(1), **fitted)
 
 
@@ -440,14 +445,14 @@ def _crossval_config(args) -> CvConfig:
         return fallback
 
     methods = pick(args.methods, "methods", "naive,mean,arima,arfima")
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    else:
-        methods = tuple(methods)
     lmbda = pick(args.lmbda, "lambda", "0")
     lmbda = _parse_lambda(str(lmbda))
     tspec = None if lmbda is None else TransformSpec(lmbda=lmbda)
     try:
+        if isinstance(methods, str):
+            methods = tuple(m.strip() for m in methods.split(",") if m.strip())
+        else:
+            methods = tuple(methods)
         return CvConfig(
             window=int(pick(args.window, "window", 96)),
             max_horizon=int(pick(args.horizon, "horizon", 48)),
@@ -456,6 +461,8 @@ def _crossval_config(args) -> CvConfig:
             level=float(pick(args.level, "level", 0.95)),
             transform=tspec,
         )
+    except (TypeError, ValueError) as exc:  # a config-file value of the wrong type
+        raise CliValidationError(f"bad crossval config: {exc}") from None
     except LrdForecastError as exc:
         raise CliValidationError(str(exc)) from None
 

@@ -5,8 +5,15 @@ integrated ARIMA. ARIMA picks its integer differencing order with the
 Dickey-Fuller test and its ARMA orders by the corrected AIC over a grid;
 the fractional model estimates the differencing exponent d jointly with
 the ARMA coefficients by minimising the conditional sum of squared
-innovations. Forecasts come with Gaussian prediction intervals computed on
-the (optionally Box-Cox transformed) fitting scale and mapped back.
+innovations (CSS). Pure AR cells are solved by least squares; cells with an
+MA part by Levenberg-Marquardt on the Jacobian of the innovation filter,
+stopping at a gradient below 1e-5, a step that moves the cell's AICc by at
+most 0.01, or 200 steps, and keeping the last admissible (causal,
+invertible, no common root) point of the path. The fractional search
+differences the series once per coarse-grid d and shares those series
+across its (p, q) cells. Forecasts come with Gaussian prediction intervals
+computed on the (optionally Box-Cox transformed) fitting scale and mapped
+back.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import fftconvolve, lfilter
 from scipy.stats import norm
 
@@ -40,8 +46,19 @@ FAMILIES = (NAIVE, MEAN, ARIMA, ARFIMA)
 # up to 2 cover the integer orders the ARIMA path needs.
 _D_MAX = 2.0
 _ARFIMA_D_CAP = 0.4999
+# coarse d grid every ARFIMA cell scans before its golden-section refinement
+_ARFIMA_D_GRID = tuple(
+    float(d) for d in np.round(np.arange(0.0, 0.45 + 1e-9, 0.05), 10)
+)
 _ROOT_TOL = 1e-6
 _COMMON_ROOT_TOL = 0.05
+# Levenberg-Marquardt for the CSS fits with an MA part: the gradient bound,
+# the step cap, the AICc change that ends a fit, and the damping range
+_LM_GTOL = 1e-5
+_LM_MAXITER = 200
+_LM_AICC_TOL = 0.01
+_LM_LAMBDA0 = 1e-3
+_LM_LAMBDA_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -169,24 +186,35 @@ def _innovations(x: np.ndarray, phi, theta) -> np.ndarray:
     return lfilter(_arpoly(phi), _mapoly(theta), x)
 
 
+def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
+    """Whether every root of poly (ascending powers, poly[0] == 1) lies
+    farther than 1 + _ROOT_TOL from the origin. Schur-Cohn step-down test
+    on poly(r z), r = 1 + _ROOT_TOL: that holds exactly when every
+    reflection coefficient lies inside (-1, 1)."""
+    r = 1.0 + _ROOT_TOL
+    c = [a * r**j for j, a in enumerate(poly.tolist()[1:], start=1)]
+    while c:
+        k = c.pop()
+        if not abs(k) < 1.0:
+            return False
+        s = 1.0 - k * k
+        c = [(a - k * b) / s for a, b in zip(c, reversed(c))]
+    return True
+
+
 def _admissible(phi, theta) -> bool:
     """Causality and invertibility: both polynomial root sets outside the
     unit circle, and no (near-)common root between them, since a shared
     factor cancels and leaves the parameterisation unidentified."""
-    root_sets = []
-    for poly in (_arpoly(phi), _mapoly(theta)):
-        if poly.size > 1:
-            roots = np.roots(poly[::-1])
-            if roots.size and np.min(np.abs(roots)) <= 1.0 + _ROOT_TOL:
+    ar, ma = _arpoly(phi), _mapoly(theta)
+    if not (_roots_outside_unit_circle(ar) and _roots_outside_unit_circle(ma)):
+        return False
+    if ar.size > 1 and ma.size > 1:
+        ar_roots, ma_roots = np.roots(ar[::-1]), np.roots(ma[::-1])
+        if ar_roots.size and ma_roots.size:
+            dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
+            if dist.min() < _COMMON_ROOT_TOL:
                 return False
-            root_sets.append(roots)
-        else:
-            root_sets.append(np.zeros(0))
-    ar_roots, ma_roots = root_sets
-    if ar_roots.size and ma_roots.size:
-        dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
-        if dist.min() < _COMMON_ROOT_TOL:
-            return False
     return True
 
 
@@ -204,9 +232,21 @@ def _ols_ar(x: np.ndarray, p: int) -> np.ndarray:
 def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None):
     """Minimise the conditional sum of squared innovations over (phi, theta).
 
-    Pure AR cells are solved exactly by least squares; cells with an MA part
-    use L-BFGS from a zero (or warm) start with the analytic gradient of the
-    filtering recursion. Returns (phi, theta, css, innovations).
+    Pure AR cells are solved exactly by least squares. Cells with an MA part
+    run Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 1963) from a
+    zero or warm start; a warm start with a non-finite CSS falls back to
+    zero. The innovations are z = phi(B)/theta(B) x, and the Jacobian rows
+    are lagged copies of u = x/theta(B) (for phi) and v = z/theta(B) (for
+    theta), the recursions behind the analytic gradient. Each step solves
+    (J'J + lam diag(J'J)) s = J'z and is taken only if the CSS comes out
+    finite and lower; otherwise lam grows tenfold and the step is retried.
+    The fit stops when max|grad CSS| <= 1e-5, when an accepted step moves
+    the cell's AICc by at most 0.01 (n (f - f_new) / f_new <= 0.01), after
+    200 steps, or when no damping gives a lower CSS. The steps are not
+    constrained, so the path may leave the causal and invertible region,
+    which the order search rejects; the fit returns the last admissible
+    point of its path, which is also its lowest-CSS admissible one (the
+    final point when none is). Returns (phi, theta, css, innovations).
     """
     if p == 0 and q == 0:
         return np.zeros(0), np.zeros(0), float(x @ x), x.copy()
@@ -215,41 +255,70 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
         z = _innovations(x, phi, np.zeros(0))
         return phi, np.zeros(0), float(z @ z), z
 
+    n, k = x.size, p + q
     apoly = np.zeros(p + 1)
     apoly[0] = 1.0
     mpoly = np.zeros(q + 1)
     mpoly[0] = 1.0
     one = np.ones(1)
 
-    def objective(params):
-        # the optimizer may probe non-invertible theta, where the filter
-        # explodes; report a huge value and let it backtrack
+    def innovations(params):
         apoly[1:] = -params[:p]
         mpoly[1:] = params[p:]
-        z = lfilter(apoly, mpoly, x)
+        return lfilter(apoly, mpoly, x)
+
+    jac = np.zeros((k, n))
+    lam = _LM_LAMBDA0
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = np.zeros(k) if warm is None else np.array(warm, dtype=float)
+        z = innovations(params)
         f = float(z @ z)
         if not np.isfinite(f):
-            return 1e300, np.zeros(p + q)
-        g = np.empty(p + q)
-        if p:
-            u = lfilter(one, mpoly, x)
-            for i in range(1, p + 1):
-                g[i - 1] = -2.0 * float(z[i:] @ u[:-i])
-        v = lfilter(one, mpoly, z)
-        for j in range(1, q + 1):
-            g[p + j - 1] = -2.0 * float(z[j:] @ v[:-j])
-        if not np.all(np.isfinite(g)):
-            return 1e300, np.zeros(p + q)
-        return f, g
-
-    x0 = np.zeros(p + q) if warm is None else np.asarray(warm, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = minimize(
-            objective, x0, jac=True, method="L-BFGS-B", options={"maxiter": 200}
-        )
-    phi, theta = res.x[:p].copy(), res.x[p:].copy()
-    z = _innovations(x, phi, theta)
-    return phi, theta, float(z @ z), z
+            params = np.zeros(k)
+            z = innovations(params)
+            f = float(z @ z)
+        path = [params]
+        for _ in range(_LM_MAXITER):
+            mpoly[1:] = params[p:]
+            if p:
+                u = lfilter(one, mpoly, x)
+                for i in range(1, p + 1):
+                    jac[i - 1, i:] = u[:-i]
+            v = lfilter(one, mpoly, z)
+            for j in range(1, q + 1):
+                jac[p + j - 1, j:] = v[:-j]
+            g = jac @ z  # -grad(CSS) / 2
+            if not np.all(np.isfinite(g)) or 2.0 * np.max(np.abs(g)) <= _LM_GTOL:
+                break
+            h = jac @ jac.T
+            # an all-zero Jacobian row would leave the damped system singular
+            scale = np.diag(h).copy()
+            scale[~(scale > 0)] = 1.0
+            while lam <= _LM_LAMBDA_MAX:
+                trial = params + np.linalg.solve(h + np.diag(lam * scale), g)
+                z_new = innovations(trial)
+                f_new = float(z_new @ z_new)
+                if f_new < f:
+                    break
+                lam *= 10.0
+            else:
+                break
+            done = n * (f - f_new) <= _LM_AICC_TOL * f_new
+            params, z, f = trial, z_new, f_new
+            path.append(params)
+            lam /= 10.0
+            if done:
+                break
+        # the order search keeps only admissible fits, so return the last,
+        # lowest-CSS, admissible point of the path
+        for point in reversed(path):
+            if _admissible(point[:p], point[p:]):
+                if point is not params:
+                    params = point
+                    z = innovations(params)
+                    f = float(z @ z)
+                break
+    return params[:p].copy(), params[p:].copy(), f, z
 
 
 def _gaussian_loglik(css: float, n: int) -> float:
@@ -440,18 +509,18 @@ def fit_arima(
     )
 
 
-def _fit_arfima_cell(x0: np.ndarray, p: int, q: int, fix_d: float | None):
+def _fit_arfima_cell(fracdiff, p: int, q: int, fix_d: float | None):
     """Best d for one (p, q) cell: coarse 0.05 grid, then golden-section
-    refinement. The inner ARMA fit warm-starts from the previous candidate
-    along the (deterministic) search path."""
+    refinement. fracdiff(d) is the fractionally differenced series. The
+    inner ARMA fit warm-starts from the previous candidate along the
+    (deterministic) search path."""
     state = {"warm": None}
     cache = {}
 
     def css_of(d):
         d = float(d)
         if d not in cache:
-            y = _apply_fracdiff(x0, d)
-            phi, theta, css, _ = _css_fit_arma(y, p, q, warm=state["warm"])
+            phi, theta, css, _ = _css_fit_arma(fracdiff(d), p, q, warm=state["warm"])
             if phi.size + theta.size:
                 state["warm"] = np.concatenate([phi, theta])
             cache[d] = (css, phi, theta)
@@ -460,11 +529,10 @@ def _fit_arfima_cell(x0: np.ndarray, p: int, q: int, fix_d: float | None):
     if fix_d is not None:
         d_hat = float(fix_d)
     else:
-        grid = np.round(np.arange(0.0, 0.45 + 1e-9, 0.05), 10)
-        vals = [css_of(d) for d in grid]
+        vals = [css_of(d) for d in _ARFIMA_D_GRID]
         i = int(np.argmin(vals))
-        lo = max(0.0, float(grid[i]) - 0.05)
-        hi = min(_ARFIMA_D_CAP, float(grid[i]) + 0.05)
+        lo = max(0.0, _ARFIMA_D_GRID[i] - 0.05)
+        hi = min(_ARFIMA_D_CAP, _ARFIMA_D_GRID[i] + 0.05)
         d_hat = _golden_min(css_of, lo, hi, tol=1e-3)
     css = css_of(d_hat)
     _, phi, theta = cache[float(d_hat)]
@@ -493,11 +561,21 @@ def fit_arfima(
     w = series.values
     mu = float(w.mean())
     x0 = w - mu
+    # the d values every cell evaluates are differenced once for all cells;
+    # golden-section points are not kept, they differ from cell to cell
+    shared = {
+        d: _apply_fracdiff(x0, d)
+        for d in (_ARFIMA_D_GRID if fix_d is None else (float(fix_d),))
+    }
+
+    def fracdiff(d):
+        return shared[d] if d in shared else _apply_fracdiff(x0, d)
 
     p, q, phi, theta, css, d_hat, ll, crit = _search_orders(
-        lambda p, q: _fit_arfima_cell(x0, p, q, fix_d), n, max_p, max_q, 2, "fractional"
+        lambda p, q: _fit_arfima_cell(fracdiff, p, q, fix_d),
+        n, max_p, max_q, 2, "fractional",
     )
-    z = _innovations(_apply_fracdiff(x0, d_hat), phi, theta)
+    z = _innovations(fracdiff(d_hat), phi, theta)
     return FittedModel(
         spec=ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True),
         phi=phi,

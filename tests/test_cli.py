@@ -144,7 +144,17 @@ class TestFitForecast:
         direct = forecast(rebind(fit(series, family), series), 8)
         np.testing.assert_allclose(got.point, direct.point, rtol=1e-6)
 
-    @pytest.mark.parametrize("content", ['{"family": "arfima"}', "not json", "[1, 2]"])
+    @pytest.mark.parametrize("content", [
+        '{"family": "arfima"}',
+        "not json",
+        "[1, 2]",
+        # ARIMA(1,1,0) coefficients under a document that claims p = 3
+        pytest.param(json.dumps({
+            "family": "arima", "p": 3, "d": 1, "q": 0, "include_mean": False,
+            "phi": [0.3], "theta": [], "mean": 0.0, "sigma2": 0.01, "aicc": -100.0,
+            "loglik": 52.0, "n": 1024, "transform": {"lambda": 0.0, "applied": True},
+        }), id="p-disagrees-with-phi"),
+    ])
     def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
         model, out = tmp_path / "bad.json", tmp_path / "fc.csv"
         model.write_text(content)
@@ -201,6 +211,18 @@ class TestCrossval:
         assert doc["config"]["max_horizon"] == 6  # flag wins
         assert doc["config"]["window"] == 96
         assert doc["config"]["methods"] == ["naive", "mean"]
+
+    @pytest.mark.parametrize("bad", [{"window": "abc"}, {"level": [0.9]}, {"methods": 5}])
+    def test_config_value_of_wrong_type_is_validation_error(self, series_dir, tmp_path,
+                                                             capsys, bad):
+        cfg = tmp_path / "cv.json"
+        cfg.write_text(json.dumps(bad))
+        out = tmp_path / "out3"
+        rc = run("crossval", str(series_dir), "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validation"
+        assert not out.exists()
 
     def test_worker_env_parallelism_matches_serial(self, series_dir, tmp_path):
         out_serial = tmp_path / "serial"

@@ -6,6 +6,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 from scipy.special import gamma as gamma_fn
 
 from lrdforecast import (
@@ -31,7 +35,16 @@ from lrdforecast import (
     generate,
     transform,
 )
-from lrdforecast.models import FittedModel, _arpoly, _mapoly, rebind
+from lrdforecast.models import (
+    FittedModel,
+    _admissible,
+    _arpoly,
+    _css_fit_arma,
+    _innovations,
+    _mapoly,
+    _roots_outside_unit_circle,
+    rebind,
+)
 
 
 class TestFracDiffCoeffs:
@@ -49,11 +62,15 @@ class TestFracDiffCoeffs:
         assert c.pi[1] == pytest.approx(-0.4)
         assert c.eta[1] == pytest.approx(0.4)
 
-    @pytest.mark.parametrize("d", [0.1, 0.25, 0.45])
-    def test_operator_inverse(self, d):
-        c = frac_diff_coeffs(d, 512)
-        conv = np.convolve(c.pi, c.eta)[:256]
-        impulse = np.zeros(256)
+    @pytest.mark.parametrize("d", [0.1, 0.25, 0.45, -0.49, -0.3, -0.05, 0.0, 0.49])
+    @settings(max_examples=10, deadline=None)
+    @given(length=st.integers(1, 600))
+    @example(length=512)
+    def test_operator_inverse(self, d, length):
+        # pi * eta is the impulse on every prefix length
+        c = frac_diff_coeffs(d, length)
+        conv = np.convolve(c.pi, c.eta)[:length]
+        impulse = np.zeros(length)
         impulse[0] = 1.0
         np.testing.assert_allclose(conv, impulse, atol=1e-10)
 
@@ -188,6 +205,23 @@ class TestModelSpec:
             ModelSpec("naive", p=1)
 
 
+class TestUnitCircleTest:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(0.3, 3.0), st.floats(0.05, 3.1)), max_size=2),
+        reals=st.lists(st.floats(0.3, 3.0), max_size=2),
+        flip=st.booleans(),
+    )
+    def test_matches_root_moduli(self, pairs, reals, flip):
+        # poly = prod(1 - z / r) over roots r whose moduli stay clear of 1
+        roots = [m * np.exp(s * 1j * a) for m, a in pairs for s in (1, -1)]
+        roots += [-r if flip else r for r in reals]
+        assume(all(abs(abs(r) - 1.0) > 1e-3 for r in roots))
+        poly = np.real(np.poly(1.0 / np.array(roots))) if roots else np.ones(1)
+        expect = all(abs(r) > 1.0 for r in roots)
+        assert _roots_outside_unit_circle(poly) == expect
+
+
 class TestFitArima:
     def test_ar1_coefficient_recovery(self):
         errs = []
@@ -248,6 +282,71 @@ class TestFitArima:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             fit_arima(TimeSeries(np.arange(1.0, 21.0)))
+
+    def test_long_series_fit_is_stationary_point(self):
+        # a solver that stops early on warm-started MA cells picked
+        # ARIMA(5,0,1) here with max|dCSS| = 0.887
+        s = transform(
+            generate(GenSpec(kind="arfima", n=8192, seed=1002, d=0.35, offset=50.0)),
+            TransformSpec(0.0),
+        )
+        model = fit_arima(s)
+        d = int(model.spec.d)
+        x = (np.diff(s.values, n=d) if d else s.values) - model.mean
+        assert np.max(np.abs(_css_gradient(x, model.phi, model.theta))) <= 1e-2
+
+    def test_css_matches_lbfgsb_oracle(self):
+        # from the same zero start, the CSS found per cell is within 0.05 of
+        # AICc (n log of the CSS ratio) of scipy's L-BFGS-B
+        n = 512
+        worst = -np.inf
+        for seed in range(40):
+            s = generate(GenSpec(kind="arma", n=n, seed=seed, phi=(0.5,), theta=(0.3,)))
+            x = s.values - s.values.mean()
+            for p, q in ((1, 1), (0, 1), (0, 2), (2, 1)):
+                css = _css_fit_arma(x, p, q)[2]
+                worst = max(worst, n * np.log(css / _lbfgsb_css(x, p, q)))
+        assert worst <= 0.05
+
+    def test_css_fit_ends_admissible(self):
+        # on these log windows the unconstrained path leaves the causal and
+        # invertible region in many cells; the fit must come back with an
+        # admissible point and that point's own CSS and innovations
+        for seed in range(1000, 1012):
+            s = generate(GenSpec(kind="arfima", n=96, seed=seed, d=0.35, offset=50.0))
+            x = np.diff(np.log(s.values))
+            for p, q in ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3)):
+                phi, theta, css, z = _css_fit_arma(x, p, q)
+                assert _admissible(phi, theta)
+                np.testing.assert_array_equal(z, _innovations(x, phi, theta))
+                assert css == float(z @ z)
+
+
+def _css_gradient(x, phi, theta):
+    """Analytic gradient of the CSS over (phi, theta)."""
+    mpoly = _mapoly(theta)
+    z = lfilter(_arpoly(phi), mpoly, x)
+    u = lfilter([1.0], mpoly, x)
+    v = lfilter([1.0], mpoly, z)
+    g_phi = [-2.0 * z[i:] @ u[:-i] for i in range(1, len(phi) + 1)]
+    g_theta = [-2.0 * z[j:] @ v[:-j] for j in range(1, len(theta) + 1)]
+    return np.array(g_phi + g_theta)
+
+
+def _lbfgsb_css(x, p, q):
+    """Reference CSS minimum: scipy's L-BFGS-B from zero, tight tolerances."""
+
+    def objective(params):
+        z = lfilter(_arpoly(params[:p]), _mapoly(params[p:]), x)
+        f = float(z @ z)
+        if not np.isfinite(f):
+            return 1e300, np.zeros(p + q)
+        return f, _css_gradient(x, params[:p], params[p:])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(objective, np.zeros(p + q), jac=True, method="L-BFGS-B",
+                       options={"maxiter": 1000, "gtol": 1e-8, "ftol": 1e-14})
+    return float(res.fun)
 
 
 class TestFitArfima:
