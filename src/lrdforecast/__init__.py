@@ -56,7 +56,6 @@ from .models import (
     NAIVE,
     FittedModel,
     ForecastResult,
-    FracDiffCoeffs,
     ModelSpec,
     aicc,
     fit,
@@ -65,10 +64,9 @@ from .models import (
     fit_mean,
     fit_naive,
     forecast,
-    frac_diff_coeffs,
-    frac_difference,
     rebind,
 )
+from .operators import FracDiffCoeffs, frac_diff_coeffs, frac_difference
 from .series import (
     AcfResult,
     TimeSeries,

@@ -26,6 +26,7 @@ from .errors import LrdForecastError
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
 from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
+from .operators import arpoly, mapoly, roots_outside_unit_circle
 from .series import TimeSeries, TransformSpec, acf, ingest_csv, transform, write_csv
 from .synthgen import KINDS, GenSpec, generate
 
@@ -83,6 +84,14 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def _write_table(path, header: str, rows) -> None:
+    """Write a CSV: the header line, then one line per row of cells."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(cell) for cell in row) + "\n")
+
+
 def _write_manifest(path, subcommand: str, options: dict, inputs) -> None:
     doc = {
         "tool": "lrdforecast",
@@ -111,13 +120,17 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
-def _parse_lambda(text: str):
-    if text.lower() in ("none", "off"):
-        return None
+def _to_float(text: str, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise CliValidationError(f"bad lambda {text!r}") from None
+        raise CliValidationError(f"bad {what} {text!r}") from None
+
+
+def _parse_lambda(text: str):
+    if text.lower() in ("none", "off"):
+        return None
+    return _to_float(text, "lambda")
 
 
 def _parse_floats(text: str) -> tuple:
@@ -134,23 +147,8 @@ def _parse_floats(text: str) -> tuple:
 # document builders
 
 
-def _hurst_doc(est) -> dict:
-    return {
-        "h": est.h,
-        "slope": est.slope,
-        "r_squared": est.r_squared,
-        "clamped": est.clamped,
-        "points": est.points,
-    }
-
-
-def _adf_doc(res) -> dict:
-    return {
-        "statistic": res.statistic,
-        "lags_used": res.lags_used,
-        "critical_values": res.critical_values,
-        "stationary_at_5pct": res.stationary_at_5pct,
-    }
+def _fields(obj, *names) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
 def _analysis_doc(series: TimeSeries) -> dict:
@@ -162,15 +160,16 @@ def _analysis_doc(series: TimeSeries) -> dict:
         max_lag = min(len(series) - 1, 4 * daily_lag)
         present, peaks = seasonal_peak_diagnostic(acf(series, max_lag), daily_lag)
         seasonal = {"daily_lag": daily_lag, "present": present, "peak_lags": peaks}
-
     return {
         "label": series.label,
         "n": len(series),
         "interval": series.interval,
-        "hurst": {name: _hurst_doc(est) for name, est in cls.h_by_method.items()},
+        "hurst": {name: _fields(est, "h", "slope", "r_squared", "clamped", "points")
+                  for name, est in cls.h_by_method.items()},
         "h_median": cls.h_median,
         "verdict": cls.verdict,
-        "adf": _adf_doc(adf),
+        "adf": _fields(adf, "statistic", "lags_used", "critical_values",
+                       "stationary_at_5pct"),
         "seasonal_peaks": seasonal,
     }
 
@@ -227,8 +226,8 @@ _FIT_FIELDS = (
 
 
 def _model_doc(model: FittedModel) -> dict:
-    doc = {key: getattr(model.spec, key) for key, _ in _SPEC_FIELDS}
-    doc.update((key, getattr(model, key)) for key, _ in _FIT_FIELDS)
+    doc = _fields(model.spec, *(key for key, _ in _SPEC_FIELDS))
+    doc.update(_fields(model, *(key for key, _ in _FIT_FIELDS)))
     doc["transform"] = _transform_doc(model.transform)
     return doc
 
@@ -239,46 +238,40 @@ def _model_from_doc(doc: dict) -> FittedModel:
         fitted = {key: decode(doc[key]) for key, decode in _FIT_FIELDS}
     except KeyError as exc:
         raise CliValidationError(f"model document lacks {exc}") from None
-    except (TypeError, ValueError, LrdForecastError) as exc:
+    except (TypeError, ValueError) as exc:  # MalformedInput is a ValueError too
         raise CliValidationError(f"bad model document: {exc}") from None
-    if (spec.p, spec.q) != (fitted["phi"].size, fitted["theta"].size):
-        raise CliValidationError(
-            f"bad model document: p={spec.p}, q={spec.q} but "
-            f"{fitted['phi'].size} phi and {fitted['theta'].size} theta coefficients"
-        )
-    return FittedModel(spec=spec, residuals=np.zeros(0), history=np.zeros(1), **fitted)
+    phi, theta, sigma2 = fitted["phi"], fitted["theta"], fitted["sigma2"]
+    if (spec.p, spec.q) != (phi.size, theta.size):
+        problem = (f"p={spec.p}, q={spec.q} but {phi.size} phi and "
+                   f"{theta.size} theta coefficients")
+    elif not (math.isfinite(sigma2) and sigma2 >= 0.0):
+        problem = f"sigma2 must be finite and non-negative, got {sigma2}"
+    elif not (roots_outside_unit_circle(arpoly(phi))
+              and roots_outside_unit_circle(mapoly(theta))):
+        problem = "phi or theta has a root on or inside the unit circle"
+    else:
+        return FittedModel(spec=spec, residuals=np.zeros(0), history=np.zeros(1),
+                           **fitted)
+    raise CliValidationError(f"bad model document: {problem}")
 
 
 def _config_doc(config: CvConfig) -> dict:
-    return {
-        "window": config.window,
-        "max_horizon": config.max_horizon,
-        "step": config.step,
-        "methods": list(config.methods),
-        "level": config.level,
-        "transform": _transform_doc(config.transform),
-    }
+    doc = _fields(config, "window", "max_horizon", "step", "methods", "level")
+    doc["transform"] = _transform_doc(config.transform)
+    return doc
 
 
 def _cv_doc(report) -> dict:
-    pair_docs = {}
-    for (a, b), imp in report.improvements.items():
-        pair_docs[f"{b}_over_{a}"] = {
-            "per_horizon": imp.per_horizon,
-            "mean": imp.mean,
-            "max": imp.max,
-        }
     doc = {
         "series_label": report.series_label,
-        "metrics": {
-            m: {"mae": ms.mae, "mape": ms.mape, "count": ms.count}
-            for m, ms in report.per_method.items()
-        },
-        "improvements": pair_docs,
-        "excluded_origins": [list(x) for x in report.excluded_origins],
+        "metrics": {m: _fields(ms, "mae", "mape", "count")
+                    for m, ms in report.per_method.items()},
+        "improvements": {f"{b}_over_{a}": _fields(imp, "per_horizon", "mean", "max")
+                         for (a, b), imp in report.improvements.items()},
+        "excluded_origins": report.excluded_origins,
     }
     if report.boxplot is not None:
-        doc["boxplot"] = {m: q for m, q in report.boxplot.items()}
+        doc["boxplot"] = report.boxplot
     return doc
 
 
@@ -287,8 +280,8 @@ def _cv_doc(report) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    if args.kind not in KINDS:
-        raise CliValidationError(f"unknown kind {args.kind!r}; choose from {KINDS}")
+    auto = args.offset == "auto"
+    offset = 0.0 if auto else _to_float(args.offset, "offset")
     spec = GenSpec(
         kind=args.kind,
         n=args.n,
@@ -298,32 +291,22 @@ def _cmd_simulate(args) -> int:
         d=args.d,
         hurst=args.hurst,
         sigma=args.sigma,
-        offset=0.0 if args.offset == "auto" else float(args.offset),
+        offset=offset,
         interval=args.interval,
     )
     series = generate(spec)
     values = series.values
     shift = 0.0
-    if args.offset == "auto" and values.min() <= 0:
+    if auto and values.min() <= 0:
         shift = float(np.ceil(1.0 - values.min()))
         series = dataclasses.replace(series, values=values + shift)
     write_csv(series, args.out)
     _write_manifest(
         args.out + ".manifest.json",
         "simulate",
-        {
-            "kind": args.kind,
-            "n": args.n,
-            "seed": args.seed,
-            "phi": args.phi,
-            "theta": args.theta,
-            "d": args.d,
-            "hurst": args.hurst,
-            "sigma": args.sigma,
-            "offset": args.offset,
-            "applied_offset": shift if args.offset == "auto" else float(args.offset),
-            "interval": args.interval,
-        },
+        {**_fields(args, "kind", "n", "seed", "phi", "theta", "d", "hurst", "sigma",
+                   "offset", "interval"),
+         "applied_offset": shift if auto else offset},
         [],
     )
     print(f"wrote {args.out} ({len(series)} observations, kind={args.kind})")
@@ -338,7 +321,7 @@ def _cmd_analyze(args) -> int:
     _write_manifest(
         args.out + ".manifest.json",
         "analyze",
-        {"series": args.series, "interval": args.interval, "fill": args.fill},
+        _fields(args, "series", "interval", "fill"),
         [args.series],
     )
     med = doc["h_median"]
@@ -359,14 +342,8 @@ def _cmd_fit(args) -> int:
     _write_manifest(
         args.out + ".manifest.json",
         "fit",
-        {
-            "series": args.series,
-            "family": args.family,
-            "lambda": args.lmbda,
-            "max_p": args.max_p,
-            "max_q": args.max_q,
-            "max_d": args.max_d,
-        },
+        {**_fields(args, "series", "family", "max_p", "max_q", "max_d"),
+         "lambda": args.lmbda},
         [args.series],
     )
     s = model.spec
@@ -388,16 +365,14 @@ def _cmd_forecast(args) -> int:
         series = transform(series, TransformSpec(lmbda=model.transform.lmbda))
     model = rebind(model, series)
     result = forecast(model, args.steps, level=args.level)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("horizon,point,lower,upper\n")
-        for i in range(args.steps):
-            fh.write(f"{result.horizons[i]},{result.point[i]:.9g},"
-                     f"{result.lower[i]:.9g},{result.upper[i]:.9g}\n")
+    columns = (result.point, result.lower, result.upper)
+    _write_table(args.out, "horizon,point,lower,upper", (
+        [h, *(f"{c[i]:.9g}" for c in columns)] for i, h in enumerate(result.horizons)
+    ))
     _write_manifest(
         args.out + ".manifest.json",
         "forecast",
-        {"model": args.model, "series": args.series, "steps": args.steps,
-         "level": args.level},
+        _fields(args, "model", "series", "steps", "level"),
         [args.model, args.series],
     )
     print(f"wrote {args.out} ({args.steps} horizons at level {args.level})")
@@ -434,37 +409,39 @@ def _cv_worker(task):
     return analysis, report
 
 
+def _methods(value) -> tuple:
+    if isinstance(value, str):
+        return tuple(m.strip() for m in value.split(",") if m.strip())
+    return tuple(value)
+
+
+def _transform_of_lambda(value):
+    lmbda = _parse_lambda(str(value))
+    return None if lmbda is None else TransformSpec(lmbda=lmbda)
+
+
+# crossval options: flag dest, config-file key, CvConfig field, decoder. An
+# option given neither way keeps CvConfig's default.
+_CV_OPTIONS = (
+    ("lmbda", "lambda", "transform", _transform_of_lambda),
+    ("methods", "methods", "methods", _methods),
+    ("window", "window", "window", int),
+    ("horizon", "horizon", "max_horizon", int),
+    ("step", "step", "step", int),
+    ("level", "level", "level", float),
+)
+
+
 def _crossval_config(args) -> CvConfig:
-    file_cfg = {} if args.config is None else _read_json_object(args.config, "config")
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return fallback
-
-    methods = pick(args.methods, "methods", "naive,mean,arima,arfima")
-    lmbda = pick(args.lmbda, "lambda", "0")
-    lmbda = _parse_lambda(str(lmbda))
-    tspec = None if lmbda is None else TransformSpec(lmbda=lmbda)
+    given = {} if args.config is None else _read_json_object(args.config, "config")
+    for dest, key, _, _ in _CV_OPTIONS:
+        if getattr(args, dest) is not None:  # a flag beats the config file
+            given[key] = getattr(args, dest)
     try:
-        if isinstance(methods, str):
-            methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-        else:
-            methods = tuple(methods)
-        return CvConfig(
-            window=int(pick(args.window, "window", 96)),
-            max_horizon=int(pick(args.horizon, "horizon", 48)),
-            step=int(pick(args.step, "step", 1)),
-            methods=methods,
-            level=float(pick(args.level, "level", 0.95)),
-            transform=tspec,
-        )
-    except (TypeError, ValueError) as exc:  # a config-file value of the wrong type
+        return CvConfig(**{field: decode(given[key])
+                           for _, key, field, decode in _CV_OPTIONS if key in given})
+    except (TypeError, ValueError) as exc:  # MalformedInput is a ValueError too
         raise CliValidationError(f"bad crossval config: {exc}") from None
-    except LrdForecastError as exc:
-        raise CliValidationError(str(exc)) from None
 
 
 def _cmd_crossval(args) -> int:
@@ -480,9 +457,7 @@ def _cmd_crossval(args) -> int:
     else:
         results = [_cv_worker(t) for t in tasks]
 
-    analyses = [a for a, _ in results]
-    reports = [r for _, r in results]
-    pooled = aggregate_reports(reports)
+    pooled = aggregate_reports([r for _, r in results])
 
     doc = {
         "config": _config_doc(config),
@@ -495,24 +470,23 @@ def _cmd_crossval(args) -> int:
     report_path = os.path.join(args.out_dir, "report.json")
     _write_json(report_path, doc)
 
-    with open(os.path.join(args.out_dir, "metrics.csv"), "w", newline="") as fh:
-        fh.write("method,horizon,mae,mape,count\n")
-        for m, ms in pooled.per_method.items():
-            for i in range(config.max_horizon):
-                fh.write(f"{m},{i + 1},{ms.mae[i]:.9g},{ms.mape[i]:.9g},{ms.count}\n")
-    with open(os.path.join(args.out_dir, "improvements.csv"), "w", newline="") as fh:
-        fh.write("pair,horizon,improvement_pct\n")
-        for (a, b), imp in pooled.improvements.items():
-            for i in range(config.max_horizon):
-                v = imp.per_horizon[i]
-                text = f"{v:.9g}" if np.isfinite(v) else ""
-                fh.write(f"{b}_over_{a},{i + 1},{text}\n")
-    with open(os.path.join(args.out_dir, "boxplot.csv"), "w", newline="") as fh:
-        fh.write("method,horizon,min,q1,median,q3,max\n")
-        for m, q in pooled.boxplot.items():
-            for i in range(config.max_horizon):
-                row = ",".join(f"{v:.9g}" for v in q[i])
-                fh.write(f"{m},{i + 1},{row}\n")
+    horizons = range(config.max_horizon)
+    _write_table(
+        os.path.join(args.out_dir, "metrics.csv"), "method,horizon,mae,mape,count",
+        ([m, i + 1, f"{ms.mae[i]:.9g}", f"{ms.mape[i]:.9g}", ms.count]
+         for m, ms in pooled.per_method.items() for i in horizons),
+    )
+    _write_table(
+        os.path.join(args.out_dir, "improvements.csv"), "pair,horizon,improvement_pct",
+        ([f"{b}_over_{a}", i + 1, f"{v:.9g}" if np.isfinite(v) else ""]
+         for (a, b), imp in pooled.improvements.items()
+         for i, v in enumerate(imp.per_horizon)),
+    )
+    _write_table(
+        os.path.join(args.out_dir, "boxplot.csv"), "method,horizon,min,q1,median,q3,max",
+        ([m, i + 1, *(f"{v:.9g}" for v in q[i])]
+         for m, q in pooled.boxplot.items() for i in horizons),
+    )
 
     _write_manifest(
         os.path.join(args.out_dir, "run-manifest.json"),
@@ -555,7 +529,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate",
                        help="generate a synthetic series CSV")
-    p.add_argument("--kind", required=True, help=f"one of {', '.join(KINDS)}")
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--n", type=int, required=True, help="series length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phi", default="", help="comma-separated AR coefficients")
@@ -632,10 +606,7 @@ def main(argv=None) -> int:
     except CliValidationError as exc:
         _err_line("validation", str(exc))
         return 1
-    except LrdForecastError as exc:
-        _err_line(type(exc).__name__, str(exc))
-        return 2
-    except OSError as exc:
+    except (LrdForecastError, OSError) as exc:
         _err_line(type(exc).__name__, str(exc))
         return 2
 

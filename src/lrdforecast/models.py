@@ -13,7 +13,8 @@ invertible, no common root) point of the path. The fractional search
 differences the series once per coarse-grid d and shares those series
 across its (p, q) cells. Forecasts come with Gaussian prediction intervals
 computed on the (optionally Box-Cox transformed) fitting scale and mapped
-back.
+back. The operator primitives (AR and MA polynomials, the innovation
+filter, the admissibility test and (1-B)**d) are in lrdforecast.operators.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.signal import lfilter
 from scipy.stats import norm
 
 from .errors import (
@@ -34,6 +35,8 @@ from .errors import (
     SeriesTooShort,
 )
 from .lrd import adf_test
+from .operators import (admissible, apply_fracdiff, arpoly, fracdiff_weights,
+                        innovations, mapoly)
 from .series import TimeSeries, TransformSpec, inv_boxcox
 
 NAIVE = "naive"
@@ -42,16 +45,11 @@ ARIMA = "arima"
 ARFIMA = "arfima"
 FAMILIES = (NAIVE, MEAN, ARIMA, ARFIMA)
 
-# Largest differencing exponent accepted by the fractional operator. Values
-# up to 2 cover the integer orders the ARIMA path needs.
-_D_MAX = 2.0
 _ARFIMA_D_CAP = 0.4999
 # coarse d grid every ARFIMA cell scans before its golden-section refinement
 _ARFIMA_D_GRID = tuple(
     float(d) for d in np.round(np.arange(0.0, 0.45 + 1e-9, 0.05), 10)
 )
-_ROOT_TOL = 1e-6
-_COMMON_ROOT_TOL = 0.05
 # Levenberg-Marquardt for the CSS fits with an MA part: the gradient bound,
 # the step cap, the AICc change that ends a fit, and the damping range
 _LM_GTOL = 1e-5
@@ -86,15 +84,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class FracDiffCoeffs:
-    """Series expansions of (1-B)**d (pi) and (1-B)**(-d) (eta)."""
-
-    d: float
-    pi: np.ndarray
-    eta: np.ndarray
-
-
-@dataclass(frozen=True)
 class FittedModel:
     spec: ModelSpec
     phi: np.ndarray
@@ -125,97 +114,7 @@ class ForecastResult:
 
 
 # ---------------------------------------------------------------------------
-# fractional differencing
-
-
-def _fracdiff_weights(d: float, length: int) -> np.ndarray:
-    """Coefficients of (1-B)**d via pi_j = pi_{j-1} * (j-1-d) / j."""
-    if length == 1:
-        return np.ones(1)
-    j = np.arange(1, length)
-    return np.concatenate(([1.0], np.cumprod((j - 1 - d) / j)))
-
-
-def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
-    """Expansion coefficients of the differencing operator and its inverse.
-
-    Both are generated by ratio recursions rather than Gamma-function
-    quotients, which keeps them exact for integer d and overflow-free for
-    long expansions.
-    """
-    if not -1.0 < d <= _D_MAX:
-        raise InvalidD(f"d={d} outside (-1, {_D_MAX}]")
-    if length < 1:
-        raise MalformedInput("length must be >= 1")
-    return FracDiffCoeffs(
-        d=d, pi=_fracdiff_weights(d, length), eta=_fracdiff_weights(-d, length)
-    )
-
-
-def _apply_fracdiff(x: np.ndarray, d: float) -> np.ndarray:
-    """y_t = sum_{j<=t} pi_j x_{t-j}, truncating at the available history."""
-    n = x.size
-    w = _fracdiff_weights(d, n)
-    if n <= 512:
-        return np.convolve(w, x)[:n]
-    return fftconvolve(w, x)[:n]
-
-
-def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
-    """Fractionally difference a series; output has the input's length."""
-    if not -1.0 < d <= _D_MAX:
-        raise InvalidD(f"d={d} outside (-1, {_D_MAX}]")
-    out = _apply_fracdiff(series.values, d)
-    return dataclasses.replace(series, values=out)
-
-
-# ---------------------------------------------------------------------------
 # conditional-sum-of-squares estimation
-
-
-def _arpoly(phi) -> np.ndarray:
-    return np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
-
-
-def _mapoly(theta) -> np.ndarray:
-    return np.concatenate(([1.0], np.asarray(theta, dtype=float)))
-
-
-def _innovations(x: np.ndarray, phi, theta) -> np.ndarray:
-    """One-step innovations of the ARMA recursion with a zero presample."""
-    return lfilter(_arpoly(phi), _mapoly(theta), x)
-
-
-def _roots_outside_unit_circle(poly: np.ndarray) -> bool:
-    """Whether every root of poly (ascending powers, poly[0] == 1) lies
-    farther than 1 + _ROOT_TOL from the origin. Schur-Cohn step-down test
-    on poly(r z), r = 1 + _ROOT_TOL: that holds exactly when every
-    reflection coefficient lies inside (-1, 1)."""
-    r = 1.0 + _ROOT_TOL
-    c = [a * r**j for j, a in enumerate(poly.tolist()[1:], start=1)]
-    while c:
-        k = c.pop()
-        if not abs(k) < 1.0:
-            return False
-        s = 1.0 - k * k
-        c = [(a - k * b) / s for a, b in zip(c, reversed(c))]
-    return True
-
-
-def _admissible(phi, theta) -> bool:
-    """Causality and invertibility: both polynomial root sets outside the
-    unit circle, and no (near-)common root between them, since a shared
-    factor cancels and leaves the parameterisation unidentified."""
-    ar, ma = _arpoly(phi), _mapoly(theta)
-    if not (_roots_outside_unit_circle(ar) and _roots_outside_unit_circle(ma)):
-        return False
-    if ar.size > 1 and ma.size > 1:
-        ar_roots, ma_roots = np.roots(ar[::-1]), np.roots(ma[::-1])
-        if ar_roots.size and ma_roots.size:
-            dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
-            if dist.min() < _COMMON_ROOT_TOL:
-                return False
-    return True
 
 
 def _ols_ar(x: np.ndarray, p: int) -> np.ndarray:
@@ -252,7 +151,7 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
         return np.zeros(0), np.zeros(0), float(x @ x), x.copy()
     if q == 0:
         phi = _ols_ar(x, p)
-        z = _innovations(x, phi, np.zeros(0))
+        z = innovations(x, phi, np.zeros(0))
         return phi, np.zeros(0), float(z @ z), z
 
     n, k = x.size, p + q
@@ -262,7 +161,7 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
     mpoly[0] = 1.0
     one = np.ones(1)
 
-    def innovations(params):
+    def innovations_at(params):
         apoly[1:] = -params[:p]
         mpoly[1:] = params[p:]
         return lfilter(apoly, mpoly, x)
@@ -271,11 +170,11 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
     lam = _LM_LAMBDA0
     with np.errstate(over="ignore", invalid="ignore"):
         params = np.zeros(k) if warm is None else np.array(warm, dtype=float)
-        z = innovations(params)
+        z = innovations_at(params)
         f = float(z @ z)
         if not np.isfinite(f):
             params = np.zeros(k)
-            z = innovations(params)
+            z = innovations_at(params)
             f = float(z @ z)
         path = [params]
         for _ in range(_LM_MAXITER):
@@ -296,7 +195,7 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
             scale[~(scale > 0)] = 1.0
             while lam <= _LM_LAMBDA_MAX:
                 trial = params + np.linalg.solve(h + np.diag(lam * scale), g)
-                z_new = innovations(trial)
+                z_new = innovations_at(trial)
                 f_new = float(z_new @ z_new)
                 if f_new < f:
                     break
@@ -312,10 +211,10 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
         # the order search keeps only admissible fits, so return the last,
         # lowest-CSS, admissible point of the path
         for point in reversed(path):
-            if _admissible(point[:p], point[p:]):
+            if admissible(point[:p], point[p:]):
                 if point is not params:
                     params = point
-                    z = innovations(params)
+                    z = innovations_at(params)
                     f = float(z @ z)
                 break
     return params[:p].copy(), params[p:].copy(), f, z
@@ -377,7 +276,7 @@ def _search_orders(cell, n: int, max_p: int, max_q: int, extra: int, name: str):
             if n - p - q - 2 - extra <= 0:
                 continue
             phi, theta, css, aux = cell(p, q)
-            if css <= 0 or not np.isfinite(css) or not _admissible(phi, theta):
+            if css <= 0 or not np.isfinite(css) or not admissible(phi, theta):
                 continue
             ll = _gaussian_loglik(css, n)
             crit = aicc(ll, n, p, q, extra_params=extra)
@@ -393,6 +292,27 @@ def _search_orders(cell, n: int, max_p: int, max_q: int, extra: int, name: str):
 # model fitting
 
 
+def _fitted(series: TimeSeries, spec: ModelSpec, mean: float, sigma2: float,
+            residuals: np.ndarray, loglik: float, crit: float,
+            phi=None, theta=None) -> FittedModel:
+    """A fit on series as a FittedModel; the series gives the transform,
+    the length n and the history. Without phi or theta the model has no AR
+    or MA terms."""
+    return FittedModel(
+        spec=spec,
+        phi=np.zeros(0) if phi is None else phi,
+        theta=np.zeros(0) if theta is None else theta,
+        mean=mean,
+        sigma2=sigma2,
+        residuals=residuals,
+        aicc=crit,
+        loglik=loglik,
+        transform=series.transform,
+        n=len(series),
+        history=series.values.copy(),
+    )
+
+
 def fit_naive(series: TimeSeries) -> FittedModel:
     """Last-observed-value forecaster.
 
@@ -405,22 +325,10 @@ def fit_naive(series: TimeSeries) -> FittedModel:
     x = series.values
     resid = np.diff(x)
     sigma2 = float(resid.var(ddof=1)) if resid.size > 1 else 0.0
-    css = float(resid @ resid)
-    ll = _gaussian_loglik(css, resid.size)
+    ll = _gaussian_loglik(float(resid @ resid), resid.size)
     crit = _aicc_or_nan(ll, resid.size, 0, 0)
-    return FittedModel(
-        spec=ModelSpec(NAIVE, include_mean=False),
-        phi=np.zeros(0),
-        theta=np.zeros(0),
-        mean=float(x[-1]),
-        sigma2=sigma2,
-        residuals=resid,
-        aicc=crit,
-        loglik=ll,
-        transform=series.transform,
-        n=n,
-        history=series.values.copy(),
-    )
+    return _fitted(series, ModelSpec(NAIVE, include_mean=False), float(x[-1]),
+                   sigma2, resid, ll, crit)
 
 
 def fit_mean(series: TimeSeries) -> FittedModel:
@@ -431,23 +339,9 @@ def fit_mean(series: TimeSeries) -> FittedModel:
     x = series.values
     mu = float(x.mean())
     resid = x - mu
-    sigma2 = float(resid.var(ddof=1)) if n > 1 else 0.0
-    css = float(resid @ resid)
-    ll = _gaussian_loglik(css, n)
+    ll = _gaussian_loglik(float(resid @ resid), n)
     crit = _aicc_or_nan(ll, n, 0, 0, extra_params=1)
-    return FittedModel(
-        spec=ModelSpec(MEAN),
-        phi=np.zeros(0),
-        theta=np.zeros(0),
-        mean=mu,
-        sigma2=sigma2,
-        residuals=resid,
-        aicc=crit,
-        loglik=ll,
-        transform=series.transform,
-        n=n,
-        history=series.values.copy(),
-    )
+    return _fitted(series, ModelSpec(MEAN), mu, float(resid.var(ddof=1)), resid, ll, crit)
 
 
 def fit_arima(
@@ -494,19 +388,8 @@ def fit_arima(
     p, q, phi, theta, css, z, ll, crit = _search_orders(
         cell, n_eff, max_p, max_q, extra, "ARIMA"
     )
-    return FittedModel(
-        spec=ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean),
-        phi=phi,
-        theta=theta,
-        mean=mu,
-        sigma2=css / n_eff,
-        residuals=z,
-        aicc=crit,
-        loglik=ll,
-        transform=series.transform,
-        n=n,
-        history=series.values.copy(),
-    )
+    spec = ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean)
+    return _fitted(series, spec, mu, css / n_eff, z, ll, crit, phi, theta)
 
 
 def _fit_arfima_cell(fracdiff, p: int, q: int, fix_d: float | None):
@@ -564,31 +447,20 @@ def fit_arfima(
     # the d values every cell evaluates are differenced once for all cells;
     # golden-section points are not kept, they differ from cell to cell
     shared = {
-        d: _apply_fracdiff(x0, d)
+        d: apply_fracdiff(x0, d)
         for d in (_ARFIMA_D_GRID if fix_d is None else (float(fix_d),))
     }
 
     def fracdiff(d):
-        return shared[d] if d in shared else _apply_fracdiff(x0, d)
+        return shared[d] if d in shared else apply_fracdiff(x0, d)
 
     p, q, phi, theta, css, d_hat, ll, crit = _search_orders(
         lambda p, q: _fit_arfima_cell(fracdiff, p, q, fix_d),
         n, max_p, max_q, 2, "fractional",
     )
-    z = _innovations(fracdiff(d_hat), phi, theta)
-    return FittedModel(
-        spec=ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True),
-        phi=phi,
-        theta=theta,
-        mean=mu,
-        sigma2=css / n,
-        residuals=z,
-        aicc=crit,
-        loglik=ll,
-        transform=series.transform,
-        n=n,
-        history=series.values.copy(),
-    )
+    z = innovations(fracdiff(d_hat), phi, theta)
+    spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True)
+    return _fitted(series, spec, mu, css / n, z, ll, crit, phi, theta)
 
 
 _FITTERS = {
@@ -626,21 +498,21 @@ def fit(
 def _ar_weights(model: FittedModel, length: int) -> np.ndarray:
     """Autoregressive expansion of phi(B) (1-B)^d / theta(B): the weights
     a_j with X_t = sum_j a_j X_{t-j} + Z_t on the mean-adjusted scale."""
-    pi = _fracdiff_weights(model.spec.d, length + 1)
-    num = np.convolve(_arpoly(model.phi), pi)
+    pi = fracdiff_weights(model.spec.d, length + 1)
+    num = np.convolve(arpoly(model.phi), pi)
     impulse = np.zeros(length + 1)
     impulse[0] = 1.0
-    c = lfilter(num, _mapoly(model.theta), impulse)
+    c = lfilter(num, mapoly(model.theta), impulse)
     return -c[1:]
 
 
 def _psi_weights(model: FittedModel, h: int) -> np.ndarray:
     """Moving-average expansion theta(B) (1-B)^(-d) / phi(B), first h terms."""
-    eta = _fracdiff_weights(-model.spec.d, h)
-    num = np.convolve(_mapoly(model.theta), eta)[:h]
+    eta = fracdiff_weights(-model.spec.d, h)
+    num = np.convolve(mapoly(model.theta), eta)[:h]
     impulse = np.zeros(h)
     impulse[0] = 1.0
-    return lfilter(num, _arpoly(model.phi), impulse)
+    return lfilter(num, arpoly(model.phi), impulse)
 
 
 def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
@@ -721,8 +593,8 @@ def rebind(model: FittedModel, series: TimeSeries) -> FittedModel:
         wd = np.diff(series.values, n=int(d)) if d else series.values
         x = wd - model.mean
     else:
-        x = _apply_fracdiff(series.values - model.mean, d)
-    resid = _innovations(x, model.phi, model.theta)
+        x = apply_fracdiff(series.values - model.mean, d)
+    resid = innovations(x, model.phi, model.theta)
     return dataclasses.replace(
         model, residuals=resid, n=len(series), history=series.values.copy()
     )

@@ -1,0 +1,129 @@
+"""Operator primitives shared by the models and the generators.
+
+The AR and MA polynomials phi(B) and theta(B) in ascending powers of the
+backshift B, the innovation filter phi(B)/theta(B), the admissibility test
+(causal, invertible, no common root), and the fractional differencing
+operator (1-B)**d with its expansion coefficients.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.signal import fftconvolve, lfilter
+
+from .errors import InvalidD, MalformedInput
+from .series import TimeSeries
+
+# Largest differencing exponent accepted by the fractional operator. Values
+# up to 2 cover the integer orders the ARIMA path needs.
+_D_MAX = 2.0
+_ROOT_TOL = 1e-6
+_COMMON_ROOT_TOL = 0.05
+
+
+@dataclass(frozen=True)
+class FracDiffCoeffs:
+    """Series expansions of (1-B)**d (pi) and (1-B)**(-d) (eta)."""
+
+    d: float
+    pi: np.ndarray
+    eta: np.ndarray
+
+
+# ---------------------------------------------------------------------------
+# fractional differencing
+
+
+def _check_d(d: float) -> None:
+    if not -1.0 < d <= _D_MAX:
+        raise InvalidD(f"d={d} outside (-1, {_D_MAX}]")
+
+
+def fracdiff_weights(d: float, length: int) -> np.ndarray:
+    """Coefficients of (1-B)**d via pi_j = pi_{j-1} * (j-1-d) / j."""
+    if length == 1:
+        return np.ones(1)
+    j = np.arange(1, length)
+    return np.concatenate(([1.0], np.cumprod((j - 1 - d) / j)))
+
+
+def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
+    """Expansion coefficients of the differencing operator and its inverse.
+
+    Both are generated by ratio recursions rather than Gamma-function
+    quotients, which keeps them exact for integer d and overflow-free for
+    long expansions.
+    """
+    _check_d(d)
+    if length < 1:
+        raise MalformedInput("length must be >= 1")
+    return FracDiffCoeffs(
+        d=d, pi=fracdiff_weights(d, length), eta=fracdiff_weights(-d, length)
+    )
+
+
+def apply_fracdiff(x: np.ndarray, d: float) -> np.ndarray:
+    """y_t = sum_{j<=t} pi_j x_{t-j}, truncating at the available history."""
+    n = x.size
+    w = fracdiff_weights(d, n)
+    if n <= 512:
+        return np.convolve(w, x)[:n]
+    return fftconvolve(w, x)[:n]
+
+
+def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
+    """Fractionally difference a series; output has the input's length."""
+    _check_d(d)
+    return dataclasses.replace(series, values=apply_fracdiff(series.values, d))
+
+
+# ---------------------------------------------------------------------------
+# ARMA polynomials
+
+
+def arpoly(phi) -> np.ndarray:
+    return np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
+
+
+def mapoly(theta) -> np.ndarray:
+    return np.concatenate(([1.0], np.asarray(theta, dtype=float)))
+
+
+def innovations(x: np.ndarray, phi, theta) -> np.ndarray:
+    """One-step innovations of the ARMA recursion with a zero presample."""
+    return lfilter(arpoly(phi), mapoly(theta), x)
+
+
+def roots_outside_unit_circle(poly: np.ndarray) -> bool:
+    """Whether every root of poly (ascending powers, poly[0] == 1) lies
+    farther than 1 + _ROOT_TOL from the origin. Schur-Cohn step-down test
+    on poly(r z), r = 1 + _ROOT_TOL: that holds exactly when every
+    reflection coefficient lies inside (-1, 1)."""
+    r = 1.0 + _ROOT_TOL
+    c = [a * r**j for j, a in enumerate(poly.tolist()[1:], start=1)]
+    while c:
+        k = c.pop()
+        if not abs(k) < 1.0:
+            return False
+        s = 1.0 - k * k
+        c = [(a - k * b) / s for a, b in zip(c, reversed(c))]
+    return True
+
+
+def admissible(phi, theta) -> bool:
+    """Causality and invertibility: both polynomial root sets outside the
+    unit circle, and no (near-)common root between them, since a shared
+    factor cancels and leaves the parameterisation unidentified."""
+    ar, ma = arpoly(phi), mapoly(theta)
+    if not (roots_outside_unit_circle(ar) and roots_outside_unit_circle(ma)):
+        return False
+    if ar.size > 1 and ma.size > 1:
+        ar_roots, ma_roots = np.roots(ar[::-1]), np.roots(ma[::-1])
+        if ar_roots.size and ma_roots.size:
+            dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
+            if dist.min() < _COMMON_ROOT_TOL:
+                return False
+    return True

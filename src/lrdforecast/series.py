@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +120,8 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
                 t, v = float(row[0]), float(row[1])
             except ValueError as exc:
                 raise MalformedInput(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(t):
+                raise MalformedInput(f"{path}:{lineno}: non-finite timestamp {row[0]!r}")
             ts.append(t)
             vs.append(v)
     if not ts:
@@ -139,12 +143,15 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
     else:
         interval = 1.0
 
+    # a gap may miss a whole number of intervals by 1e-9 of itself, or by
+    # the rounding error of timestamps as large as these
+    rel_tol = 1e-9 + 4.0 * sys.float_info.epsilon * float(np.abs(ts).max()) / interval
     values = [vs[0]]
     for i in range(1, ts.size):
         gap = ts[i] - ts[i - 1]
         steps = gap / interval
         k = int(round(steps))
-        if k < 1 or abs(steps - k) > 1e-9 * max(1.0, abs(steps)):
+        if k < 1 or abs(steps - k) > rel_tol * max(1.0, abs(steps)):
             raise IrregularGrid(
                 f"{path}: gap of {gap}s at t={ts[i]} is not a multiple of {interval}s"
             )
@@ -165,12 +172,15 @@ def write_csv(series: TimeSeries, path) -> None:
     """Write a series in the same `timestamp,value` format ingest_csv reads.
 
     Values are rendered with 9 significant digits so that an
-    ingest/write round trip is bit-identical on the value column.
+    ingest/write round trip is bit-identical on the value column. Whole
+    timestamps are written as integers, others in the shortest form that
+    reads back as the same float, so ingest_csv recovers the grid.
     """
     with open(path, "w", newline="") as fh:
         fh.write("timestamp,value\n")
-        for t, v in zip(series.timestamps, series.values):
-            fh.write(f"{int(round(t))},{v:.9g}\n")
+        for t, v in zip(series.timestamps.tolist(), series.values):
+            stamp = int(t) if t.is_integer() else repr(t)
+            fh.write(f"{stamp},{v:.9g}\n")
 
 
 def boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .errors import InvalidD, InvalidSpec, NonEmbeddableCovariance
-from .models import _admissible, _arpoly, _fracdiff_weights, _mapoly
+from .operators import admissible, arpoly, fracdiff_weights, mapoly
 from .series import TimeSeries
 
 WHITE_NOISE = "white_noise"
@@ -61,7 +61,7 @@ class GenSpec:
             raise InvalidSpec("fGn needs hurst in (0, 1)")
         if self.kind == ARFIMA and not -0.5 < self.d < 0.5:
             raise InvalidSpec("fractional generator needs d in (-0.5, 0.5)")
-        if self.kind in (ARMA, ARFIMA) and not _admissible(self.phi, self.theta):
+        if self.kind in (ARMA, ARFIMA) and not admissible(self.phi, self.theta):
             raise InvalidSpec("phi/theta must be causal and invertible")
 
 
@@ -121,14 +121,14 @@ def generate(spec: GenSpec) -> TimeSeries:
         x = np.cumsum(spec.sigma * rng.standard_normal(n))
     elif spec.kind == ARMA:
         e = spec.sigma * rng.standard_normal(n + _BURN_IN)
-        x = lfilter(_mapoly(spec.theta), _arpoly(spec.phi), e)[_BURN_IN:]
+        x = lfilter(mapoly(spec.theta), arpoly(spec.phi), e)[_BURN_IN:]
     elif spec.kind == ARFIMA:
         total = n + _BURN_IN
         e = spec.sigma * rng.standard_normal(total)
-        eta = _fracdiff_weights(-spec.d, total)
+        eta = fracdiff_weights(-spec.d, total)
         y = fftconvolve(eta, e)[:total]
         if spec.phi or spec.theta:
-            y = lfilter(_mapoly(spec.theta), _arpoly(spec.phi), y)
+            y = lfilter(mapoly(spec.theta), arpoly(spec.phi), y)
         x = y[_BURN_IN:]
     else:  # FGN
         x = _davies_harte_fgn(n, spec.hurst, spec.sigma, rng)

@@ -15,6 +15,14 @@ def run(*argv):
     return main(list(argv))
 
 
+# a well-formed ARIMA(1,1,0) model document; malformed cases edit one key
+_ARIMA_DOC = {
+    "family": "arima", "p": 1, "d": 1, "q": 0, "include_mean": False,
+    "phi": [0.3], "theta": [], "mean": 0.0, "sigma2": 0.01, "aicc": -100.0,
+    "loglik": 52.0, "n": 1024, "transform": {"lambda": 0.0, "applied": True},
+}
+
+
 @pytest.fixture()
 def sim_csv(tmp_path):
     out = tmp_path / "s.csv"
@@ -43,6 +51,23 @@ class TestSimulate:
             assert run("simulate", "--kind", "fgn", "--hurst", "0.8", "--n", "512",
                        "--seed", "7", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_offset_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run("simulate", "--kind", "fgn", "--n", "10", "--offset", "abc",
+                 "--out", str(out))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "validation", "message": "bad offset 'abc'"}
+        assert not out.exists()
+
+    def test_fractional_interval_analyzes(self, tmp_path):
+        out = tmp_path / "half.csv"
+        assert run("simulate", "--kind", "fgn", "--hurst", "0.7", "--n", "512",
+                   "--interval", "0.5", "--out", str(out)) == 0
+        stamps = [line.split(",")[0] for line in out.read_text().splitlines()[1:4]]
+        assert stamps == ["0", "0.5", "1"]
+        assert run("analyze", str(out), "--out", str(tmp_path / "r.json")) == 0
 
     def test_bad_kind_is_validation_error(self, tmp_path, capsys):
         rc = run("simulate", "--kind", "pink", "--n", "10",
@@ -149,11 +174,13 @@ class TestFitForecast:
         "not json",
         "[1, 2]",
         # ARIMA(1,1,0) coefficients under a document that claims p = 3
-        pytest.param(json.dumps({
-            "family": "arima", "p": 3, "d": 1, "q": 0, "include_mean": False,
-            "phi": [0.3], "theta": [], "mean": 0.0, "sigma2": 0.01, "aicc": -100.0,
-            "loglik": 52.0, "n": 1024, "transform": {"lambda": 0.0, "applied": True},
-        }), id="p-disagrees-with-phi"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "p": 3}), id="p-disagrees-with-phi"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "sigma2": -1}), id="negative-sigma2"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "sigma2": float("inf")}),
+                     id="non-finite-sigma2"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "phi": [1.5]}), id="non-causal-phi"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "q": 1, "theta": [-1.0]}),
+                     id="non-invertible-theta"),
     ])
     def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
         model, out = tmp_path / "bad.json", tmp_path / "fc.csv"

@@ -35,15 +35,13 @@ from lrdforecast import (
     generate,
     transform,
 )
-from lrdforecast.models import (
-    FittedModel,
-    _admissible,
-    _arpoly,
-    _css_fit_arma,
-    _innovations,
-    _mapoly,
-    _roots_outside_unit_circle,
-    rebind,
+from lrdforecast.models import FittedModel, _css_fit_arma, rebind
+from lrdforecast.operators import (
+    admissible,
+    arpoly,
+    innovations,
+    mapoly,
+    roots_outside_unit_circle,
 )
 
 
@@ -219,7 +217,7 @@ class TestUnitCircleTest:
         assume(all(abs(abs(r) - 1.0) > 1e-3 for r in roots))
         poly = np.real(np.poly(1.0 / np.array(roots))) if roots else np.ones(1)
         expect = all(abs(r) > 1.0 for r in roots)
-        assert _roots_outside_unit_circle(poly) == expect
+        assert roots_outside_unit_circle(poly) == expect
 
 
 class TestFitArima:
@@ -259,7 +257,7 @@ class TestFitArima:
     def test_returned_model_is_admissible(self):
         s = generate(GenSpec(kind="arma", n=500, seed=9, phi=(0.5,), theta=(0.3,)))
         model = fit_arima(s, max_p=2, max_q=2)
-        for poly in (_arpoly(model.phi), _mapoly(model.theta)):
+        for poly in (arpoly(model.phi), mapoly(model.theta)):
             if poly.size > 1:
                 roots = np.roots(poly[::-1])
                 assert np.min(np.abs(roots)) > 1.0
@@ -317,15 +315,15 @@ class TestFitArima:
             x = np.diff(np.log(s.values))
             for p, q in ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3)):
                 phi, theta, css, z = _css_fit_arma(x, p, q)
-                assert _admissible(phi, theta)
-                np.testing.assert_array_equal(z, _innovations(x, phi, theta))
+                assert admissible(phi, theta)
+                np.testing.assert_array_equal(z, innovations(x, phi, theta))
                 assert css == float(z @ z)
 
 
 def _css_gradient(x, phi, theta):
     """Analytic gradient of the CSS over (phi, theta)."""
-    mpoly = _mapoly(theta)
-    z = lfilter(_arpoly(phi), mpoly, x)
+    mpoly = mapoly(theta)
+    z = lfilter(arpoly(phi), mpoly, x)
     u = lfilter([1.0], mpoly, x)
     v = lfilter([1.0], mpoly, z)
     g_phi = [-2.0 * z[i:] @ u[:-i] for i in range(1, len(phi) + 1)]
@@ -337,7 +335,7 @@ def _lbfgsb_css(x, p, q):
     """Reference CSS minimum: scipy's L-BFGS-B from zero, tight tolerances."""
 
     def objective(params):
-        z = lfilter(_arpoly(params[:p]), _mapoly(params[p:]), x)
+        z = lfilter(arpoly(params[:p]), mapoly(params[p:]), x)
         f = float(z @ z)
         if not np.isfinite(f):
             return 1e300, np.zeros(p + q)

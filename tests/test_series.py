@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from lrdforecast import (
     AcfResult,
@@ -103,6 +105,35 @@ class TestIngest:
         again = ingest_csv(p1)
         write_csv(again, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # start_time up to 2e9 s covers epoch timestamps; a write must keep even
+    # sub-second grids apart, which integer timestamps did not
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(start=st.integers(0, 2_000_000_000), interval=st.floats(1e-3, 86400.0),
+           n=st.integers(2, 40))
+    @example(start=0, interval=0.5, n=10)
+    @example(start=1_700_000_000, interval=0.1, n=40)
+    def test_write_ingest_round_trip_fractional_interval(self, tmp_path, start,
+                                                         interval, n):
+        ts = TimeSeries(np.arange(1.0, n + 1.0), start_time=float(start),
+                        interval=interval)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(ts, p1)
+        back = ingest_csv(p1)
+        np.testing.assert_array_equal(back.values, ts.values)
+        assert back.start_time == ts.start_time
+        assert back.interval == pytest.approx(interval, rel=1e-6)
+        write_csv(back, p2)
+        hinted = ingest_csv(p2, interval_hint=interval)
+        np.testing.assert_array_equal(hinted.timestamps, ts.timestamps)
+        np.testing.assert_array_equal(hinted.values, ts.values)
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf"])
+    def test_non_finite_timestamp_is_malformed(self, tmp_path, stamp):
+        path = _write(tmp_path, ["0,1", f"{stamp},2", "2,3"])
+        with pytest.raises(MalformedInput, match=r"series\.csv:3: non-finite timestamp"):
+            ingest_csv(path)
 
 
 class TestContainer:
