@@ -444,13 +444,21 @@ def _crossval_config(args) -> CvConfig:
         raise CliValidationError(f"bad crossval config: {exc}") from None
 
 
+def _worker_count() -> int:
+    """Worker processes from the environment; unset or empty means one."""
+    text = os.environ.get(THREADS_ENV) or "1"
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise CliValidationError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _cmd_crossval(args) -> int:
     paths = _collect_series_paths(args.inputs)
     config = _crossval_config(args)
+    workers = _worker_count()
     os.makedirs(args.out_dir, exist_ok=True)
 
     tasks = [(p, args.interval, args.fill, config) for p in paths]
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cv_worker, tasks))

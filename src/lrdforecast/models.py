@@ -11,10 +11,10 @@ stopping at a gradient below 1e-5, a step that moves the cell's AICc by at
 most 0.01, or 200 steps, and keeping the last admissible (causal,
 invertible, no common root) point of the path. The fractional search
 differences the series once per coarse-grid d and shares those series
-across its (p, q) cells. Forecasts come with Gaussian prediction intervals
-computed on the (optionally Box-Cox transformed) fitting scale and mapped
-back. The operator primitives (AR and MA polynomials, the innovation
-filter, the admissibility test and (1-B)**d) are in lrdforecast.operators.
+across its (p, q) cells. Forecasts invert the fitted innovation filter
+phi(B)(1-B)**d/theta(B), with Gaussian prediction intervals computed on the
+(optionally Box-Cox transformed) fitting scale and mapped back. The filter,
+its inverse and the other operator primitives are in lrdforecast.operators.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from .errors import (
     SeriesTooShort,
 )
 from .lrd import adf_test
-from .operators import (admissible, apply_fracdiff, arpoly, fracdiff_weights,
-                        innovations, mapoly)
+from .operators import admissible, apply_fracdiff, innovations, integrate
 from .series import TimeSeries, TransformSpec, inv_boxcox
 
 NAIVE = "naive"
@@ -495,35 +494,16 @@ def fit(
 # forecasting
 
 
-def _ar_weights(model: FittedModel, length: int) -> np.ndarray:
-    """Autoregressive expansion of phi(B) (1-B)^d / theta(B): the weights
-    a_j with X_t = sum_j a_j X_{t-j} + Z_t on the mean-adjusted scale."""
-    pi = fracdiff_weights(model.spec.d, length + 1)
-    num = np.convolve(arpoly(model.phi), pi)
-    impulse = np.zeros(length + 1)
-    impulse[0] = 1.0
-    c = lfilter(num, mapoly(model.theta), impulse)
-    return -c[1:]
-
-
-def _psi_weights(model: FittedModel, h: int) -> np.ndarray:
-    """Moving-average expansion theta(B) (1-B)^(-d) / phi(B), first h terms."""
-    eta = fracdiff_weights(-model.spec.d, h)
-    num = np.convolve(mapoly(model.theta), eta)[:h]
-    impulse = np.zeros(h)
-    impulse[0] = 1.0
-    return lfilter(num, arpoly(model.phi), impulse)
-
-
 def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
     """Forecast h steps ahead with symmetric Gaussian intervals on the
     fitting scale, mapped back through the model's transform.
 
-    The ARIMA/ARFIMA point forecasts run the autoregressive expansion of
-    the fitted operator recursively over the full available history; the
-    per-horizon variance is sigma2 times the cumulative sum of squared
-    moving-average weights. With a log transform the mapped-back bounds are
-    asymmetric and strictly positive.
+    The ARIMA/ARFIMA forecasts filter the whole history into innovations by
+    phi(B)(1-B)**d/theta(B) and invert that filter over them followed by h
+    zeros; the inverse's impulse response gives the weights psi, and the
+    per-horizon variance is sigma2 times their cumulative sum of squares.
+    With a log transform the mapped-back bounds are asymmetric and strictly
+    positive.
     """
     if h < 1:
         raise MalformedInput("horizon must be >= 1")
@@ -542,19 +522,14 @@ def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
         psi = np.zeros(h)
         psi[0] = 1.0
     else:
-        # For d >= 1 the AR weights sum to 1, so centring at the history
-        # mean changes nothing analytically but stops the truncation error
-        # of the expansion from multiplying the absolute level.
+        # For d >= 1 the operator annihilates a constant, so centring at the
+        # history mean changes nothing analytically but keeps the absolute
+        # level out of the filtered values and their rounding error.
         center = model.mean if model.spec.include_mean else float(model.history.mean())
-        hist = model.history - center
-        nh = hist.size
-        a = _ar_weights(model, nh + h)
-        ext = np.concatenate([hist, np.zeros(h)])
-        for s in range(h):
-            t = nh + s
-            ext[t] = a[:t] @ ext[t - 1 :: -1]
-        point = ext[nh:] + center
-        psi = _psi_weights(model, h)
+        op = (model.phi, model.theta, model.spec.d)
+        e = innovations(model.history - center, *op)
+        point = integrate(np.concatenate([e, np.zeros(h)]), *op)[e.size :] + center
+        psi = integrate(np.eye(1, h)[0], *op)  # impulse response
         var = model.sigma2 * np.cumsum(psi**2)
 
     half = z * np.sqrt(var)

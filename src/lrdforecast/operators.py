@@ -1,9 +1,9 @@
 """Operator primitives shared by the models and the generators.
 
 The AR and MA polynomials phi(B) and theta(B) in ascending powers of the
-backshift B, the innovation filter phi(B)/theta(B), the admissibility test
-(causal, invertible, no common root), and the fractional differencing
-operator (1-B)**d with its expansion coefficients.
+backshift B, the innovation filter phi(B)(1-B)**d/theta(B) and its inverse,
+the admissibility test (causal, invertible, no common root), and the
+fractional differencing operator (1-B)**d with its expansion coefficients.
 """
 
 from __future__ import annotations
@@ -92,9 +92,31 @@ def mapoly(theta) -> np.ndarray:
     return np.concatenate(([1.0], np.asarray(theta, dtype=float)))
 
 
-def innovations(x: np.ndarray, phi, theta) -> np.ndarray:
-    """One-step innovations of the ARMA recursion with a zero presample."""
-    return lfilter(arpoly(phi), mapoly(theta), x)
+def _split_d(phi, d: float):
+    """phi(B)(1-B)**int(d) and the rest d - int(d): integer orders are filtered
+    exactly as unit roots, not by the truncated expansion; a negative d stays
+    wholly fractional."""
+    ar = arpoly(phi)
+    for _ in range(int(d)):
+        ar = np.convolve(ar, (1.0, -1.0))
+    return ar, d - int(d)
+
+
+def innovations(x: np.ndarray, phi, theta, d: float = 0.0) -> np.ndarray:
+    """One-step innovations phi(B)(1-B)**d/theta(B) x with a zero presample."""
+    ar, frac = _split_d(phi, d)
+    if frac:
+        x = apply_fracdiff(x, frac)
+    return lfilter(ar, mapoly(theta), x)
+
+
+def integrate(z: np.ndarray, phi, theta, d: float = 0.0) -> np.ndarray:
+    """The inverse of innovations: theta(B)(1-B)**(-d)/phi(B) z with a zero
+    presample, so integrate(innovations(x, ...), ...) reproduces x."""
+    ar, frac = _split_d(phi, d)
+    if frac:
+        z = apply_fracdiff(z, -frac)
+    return lfilter(mapoly(theta), ar, z)
 
 
 def roots_outside_unit_circle(poly: np.ndarray) -> bool:

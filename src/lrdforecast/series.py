@@ -122,6 +122,8 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
                 raise MalformedInput(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(t):
                 raise MalformedInput(f"{path}:{lineno}: non-finite timestamp {row[0]!r}")
+            if not math.isfinite(v):
+                raise MalformedInput(f"{path}:{lineno}: non-finite value {row[1]!r}")
             ts.append(t)
             vs.append(v)
     if not ts:

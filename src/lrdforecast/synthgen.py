@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .errors import InvalidD, InvalidSpec, NonEmbeddableCovariance
-from .operators import admissible, arpoly, fracdiff_weights, mapoly
+from .operators import admissible, integrate
 from .series import TimeSeries
 
 WHITE_NOISE = "white_noise"
@@ -109,9 +108,10 @@ def generate(spec: GenSpec) -> TimeSeries:
     """Generate the series described by spec.
 
     The ARMA and fractional kinds simulate 500 burn-in samples that are
-    discarded; the fractional kind drives white noise through the
-    (1-B)**(-d) expansion truncated at the simulated length before any ARMA
-    filtering. Identical specs yield identical output.
+    discarded; both drive white noise through the inverse innovation filter
+    theta(B)(1-B)**(-d)/phi(B) of lrdforecast.operators, with d = 0 for
+    ARMA; the (1-B)**(-d) expansion is truncated at the simulated length.
+    Identical specs yield identical output.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
@@ -119,17 +119,10 @@ def generate(spec: GenSpec) -> TimeSeries:
         x = spec.sigma * rng.standard_normal(n)
     elif spec.kind == RANDOM_WALK:
         x = np.cumsum(spec.sigma * rng.standard_normal(n))
-    elif spec.kind == ARMA:
+    elif spec.kind in (ARMA, ARFIMA):
         e = spec.sigma * rng.standard_normal(n + _BURN_IN)
-        x = lfilter(mapoly(spec.theta), arpoly(spec.phi), e)[_BURN_IN:]
-    elif spec.kind == ARFIMA:
-        total = n + _BURN_IN
-        e = spec.sigma * rng.standard_normal(total)
-        eta = fracdiff_weights(-spec.d, total)
-        y = fftconvolve(eta, e)[:total]
-        if spec.phi or spec.theta:
-            y = lfilter(mapoly(spec.theta), arpoly(spec.phi), y)
-        x = y[_BURN_IN:]
+        d = spec.d if spec.kind == ARFIMA else 0.0
+        x = integrate(e, spec.phi, spec.theta, d)[_BURN_IN:]
     else:  # FGN
         x = _davies_harte_fgn(n, spec.hurst, spec.sigma, rng)
     x = x + spec.offset

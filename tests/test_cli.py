@@ -264,6 +264,18 @@ class TestCrossval:
             del os.environ["LRDFORECAST_THREADS"]
         assert (out_serial / "report.json").read_bytes() == (out_par / "report.json").read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_env_is_validation_error(self, series_dir, tmp_path, capsys,
+                                                monkeypatch, value):
+        monkeypatch.setenv("LRDFORECAST_THREADS", value)
+        out = tmp_path / "out4"
+        rc = run("crossval", str(series_dir), "--out-dir", str(out))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "validation"
+        assert "LRDFORECAST_THREADS" in err["message"]
+        assert not out.exists()
+
     def test_too_small_series_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"
         path.write_text("timestamp,value\n" + "\n".join(f"{i},{5 + i % 3}" for i in range(40)))

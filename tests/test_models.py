@@ -39,7 +39,9 @@ from lrdforecast.models import FittedModel, _css_fit_arma, rebind
 from lrdforecast.operators import (
     admissible,
     arpoly,
+    fracdiff_weights,
     innovations,
+    integrate,
     mapoly,
     roots_outside_unit_circle,
 )
@@ -218,6 +220,32 @@ class TestUnitCircleTest:
         poly = np.real(np.poly(1.0 / np.array(roots))) if roots else np.ones(1)
         expect = all(abs(r) > 1.0 for r in roots)
         assert roots_outside_unit_circle(poly) == expect
+
+
+class TestInnovationFilter:
+    @pytest.mark.parametrize("d", [0.0, 1.0, 2.0, 0.3, -0.3, 1.4])
+    @pytest.mark.parametrize("n", [100, 700])  # np.convolve and FFT paths
+    def test_integrate_inverts_innovations(self, d, n):
+        x = np.random.default_rng(4).standard_normal(n).cumsum()
+        for phi, theta in [((), ()), ((0.5, -0.2), (0.4,))]:
+            z = innovations(x, phi, theta, d)
+            back = integrate(z, phi, theta, d)
+            np.testing.assert_allclose(back, x, rtol=0, atol=1e-9 * np.abs(x).max())
+
+    def test_integer_d_is_exact_differencing(self):
+        # the integer part of d is filtered as unit roots of the AR polynomial;
+        # through the FFT expansion a level of 1e6 would leave errors ~1e-7
+        x = np.random.default_rng(5).standard_normal(2000).cumsum().cumsum() + 1e6
+        z = innovations(x, (), (), 2.0)
+        np.testing.assert_allclose(z[2:], np.diff(x, n=2), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(integrate(z, (), (), 2.0), x, rtol=1e-15)
+
+    def test_zero_d_is_the_arma_filter(self):
+        x = np.random.default_rng(6).standard_normal(50)
+        np.testing.assert_array_equal(innovations(x, (0.5,), (0.3,)),
+                                      lfilter([1.0, -0.5], [1.0, 0.3], x))
+        np.testing.assert_array_equal(integrate(x, (0.5,), (0.3,)),
+                                      lfilter([1.0, 0.3], [1.0, -0.5], x))
 
 
 class TestFitArima:
@@ -416,7 +444,86 @@ def _pure_fractional_model(d, history, sigma2=1.0):
     )
 
 
+def _reference_point_forecast(model, h):
+    """Point forecasts by the autoregressive expansion a_j of
+    phi(B)(1-B)**d/theta(B), X_t = sum_j a_j X_{t-j}, run recursively over
+    the whole centred history: an independent O(n**2) construction."""
+    center = model.mean if model.spec.include_mean else float(model.history.mean())
+    hist = model.history - center
+    n = hist.size
+    impulse = np.zeros(n + h + 1)
+    impulse[0] = 1.0
+    num = np.convolve(arpoly(model.phi), fracdiff_weights(model.spec.d, n + h + 1))
+    a = -lfilter(num, mapoly(model.theta), impulse)[1:]
+    ext = np.concatenate([hist, np.zeros(h)])
+    for t in range(n, n + h):
+        ext[t] = a[:t] @ ext[t - 1 :: -1]
+    return ext[n:] + center
+
+
+def _refl_to_coeffs(refl):
+    """Durbin-Levinson step-up: reflection coefficients in (-1, 1) give the
+    coefficients of a polynomial with every root outside the unit circle."""
+    coeffs = []
+    for r in refl:
+        coeffs = [a - r * b for a, b in zip(coeffs, reversed(coeffs))] + [r]
+    return coeffs
+
+
 class TestForecast:
+    @staticmethod
+    def _series(kind, n):
+        if kind == "arfima":
+            return generate(GenSpec(kind="arfima", n=n, seed=21, d=0.35, offset=50.0))
+        if kind == "arma":
+            return generate(GenSpec(kind="arma", n=n, seed=23, phi=(0.3,), theta=(0.3,),
+                                    offset=20.0))
+        walk = generate(GenSpec(kind="random_walk", n=n, seed=23, offset=500.0)).values
+        return TimeSeries(walk if kind == "walk" else np.cumsum(walk))
+
+    @pytest.mark.parametrize("n", [96, 2000])
+    @pytest.mark.parametrize("kind, family, d", [
+        ("arma", "arima", 0), ("walk", "arima", 1), ("walk2", "arima", 2),
+        ("arfima", "arfima", None),
+    ])
+    def test_points_match_ar_expansion_reference(self, kind, family, d, n):
+        s = self._series(kind, n)
+        model = fit(s, family, max_p=2, max_q=2)
+        if d is not None:
+            assert model.spec.d == d
+        fc = forecast(model, 48)
+        np.testing.assert_allclose(fc.point, _reference_point_forecast(model, 48),
+                                   rtol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ar_refl=st.lists(st.floats(-0.9, 0.9).map(lambda r: round(r, 2)), max_size=2),
+        ma_refl=st.lists(st.floats(-0.9, 0.9).map(lambda r: round(r, 2)), max_size=2),
+        d=st.one_of(st.sampled_from([0, 1, 2]), st.floats(0.0, 0.4999)),
+        n=st.integers(40, 600),
+        h=st.integers(1, 48),
+        seed=st.integers(0, 2**16),
+        log_scale=st.booleans(),
+    )
+    def test_interval_properties(self, ar_refl, ma_refl, d, n, h, seed, log_scale):
+        phi = np.array(_refl_to_coeffs(ar_refl))
+        theta = -np.array(_refl_to_coeffs(ma_refl))
+        assume(admissible(phi, theta))
+        family = "arima" if isinstance(d, int) else "arfima"
+        include_mean = family == "arfima" or d == 0
+        history = 3.0 + 0.1 * np.random.default_rng(seed).standard_normal(n).cumsum()
+        model = FittedModel(
+            spec=ModelSpec(family, p=phi.size, d=d, q=theta.size, include_mean=include_mean),
+            phi=phi, theta=theta, mean=float(history.mean()), sigma2=0.01,
+            residuals=np.zeros(n), aicc=float("nan"), loglik=float("nan"),
+            transform=TransformSpec(0.0) if log_scale else None, n=n, history=history,
+        )
+        fc = forecast(model, h)
+        assert fc.psi[0] == 1.0
+        assert np.all(np.diff(fc.scale_sigma2) >= 0)
+        assert np.all(np.isfinite(fc.point))
+        assert np.all(fc.lower <= fc.point) and np.all(fc.point <= fc.upper)
+
     def test_level_validation(self):
         model = fit_mean(TimeSeries(np.array([1.0, 2.0, 3.0])))
         with pytest.raises(InvalidLevel):

@@ -1,5 +1,7 @@
 """Container, ingestion, transform, differencing, and ACF behavior."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -114,6 +116,8 @@ class TestIngest:
            n=st.integers(2, 40))
     @example(start=0, interval=0.5, n=10)
     @example(start=1_700_000_000, interval=0.1, n=40)
+    @example(start=16_777_216, interval=0.001, n=2)
+    @example(start=2_000_000_000, interval=0.001, n=40)
     def test_write_ingest_round_trip_fractional_interval(self, tmp_path, start,
                                                          interval, n):
         ts = TimeSeries(np.arange(1.0, n + 1.0), start_time=float(start),
@@ -123,16 +127,23 @@ class TestIngest:
         back = ingest_csv(p1)
         np.testing.assert_array_equal(back.values, ts.values)
         assert back.start_time == ts.start_time
-        assert back.interval == pytest.approx(interval, rel=1e-6)
+        # the inferred interval is a difference of two float timestamps, so it
+        # carries their rounding error: the grid tolerance ingest_csv uses
+        t_max = float(np.abs(ts.timestamps).max())
+        rel = 1e-6 + 4.0 * sys.float_info.epsilon * t_max / interval
+        assert back.interval == pytest.approx(interval, rel=rel)
         write_csv(back, p2)
         hinted = ingest_csv(p2, interval_hint=interval)
         np.testing.assert_array_equal(hinted.timestamps, ts.timestamps)
         np.testing.assert_array_equal(hinted.values, ts.values)
 
-    @pytest.mark.parametrize("stamp", ["nan", "inf"])
-    def test_non_finite_timestamp_is_malformed(self, tmp_path, stamp):
-        path = _write(tmp_path, ["0,1", f"{stamp},2", "2,3"])
-        with pytest.raises(MalformedInput, match=r"series\.csv:3: non-finite timestamp"):
+    @pytest.mark.parametrize("row, what", [
+        ("nan,2", "timestamp"), ("inf,2", "timestamp"),
+        ("1,nan", "value"), ("1,inf", "value"),
+    ], ids=["nan", "inf", "value-nan", "value-inf"])
+    def test_non_finite_timestamp_is_malformed(self, tmp_path, row, what):
+        path = _write(tmp_path, ["0,1", row, "2,3"])
+        with pytest.raises(MalformedInput, match=rf"series\.csv:3: non-finite {what}"):
             ingest_csv(path)
 
 

@@ -3,6 +3,7 @@ theoretical quantities."""
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve, lfilter
 
 from lrdforecast import (
     GenSpec,
@@ -13,6 +14,7 @@ from lrdforecast import (
     generate,
     theoretical_acf_arfima0d0,
 )
+from lrdforecast.operators import arpoly, fracdiff_weights, mapoly
 
 
 class TestSpecValidation:
@@ -123,6 +125,34 @@ class TestArfimaGen:
         plain = generate(GenSpec(kind="arfima", n=512, seed=3, d=0.2))
         with_ar = generate(GenSpec(kind="arfima", n=512, seed=3, d=0.2, phi=(0.5,)))
         assert not np.allclose(plain.values, with_ar.values)
+
+
+def _reference_generate(spec, burn_in=500):
+    """The ARMA and fractional kinds built directly: white noise through the
+    (1-B)**(-d) expansion by FFT convolution for the fractional kind, then
+    theta(B)/phi(B) by a recursion when there is an ARMA part."""
+    rng = np.random.default_rng(spec.seed)
+    total = spec.n + burn_in
+    y = spec.sigma * rng.standard_normal(total)
+    if spec.kind == "arfima":
+        y = fftconvolve(fracdiff_weights(-spec.d, total), y)[:total]
+    if spec.kind == "arma" or spec.phi or spec.theta:
+        y = lfilter(mapoly(spec.theta), arpoly(spec.phi), y)
+    return y[burn_in:] + spec.offset
+
+
+class TestReferenceConstruction:
+    @pytest.mark.parametrize("n", [13, 100, 2000])
+    @pytest.mark.parametrize("kw", [
+        dict(kind="arma", phi=(0.5, -0.2), theta=(0.3,)),
+        dict(kind="arma", theta=(-0.4,), offset=5.0),
+        dict(kind="arfima", d=0.35),
+        dict(kind="arfima", d=-0.3, phi=(0.4,), theta=(-0.2,), sigma=2.0),
+        dict(kind="arfima", d=0.2, theta=(0.5,), offset=80.0),
+    ], ids=["arma21", "ma1", "arfima0d0", "arfima1d1", "arfima0d1"])
+    def test_bit_identical_to_reference(self, kw, n):
+        spec = GenSpec(n=n, seed=n, **kw)
+        np.testing.assert_array_equal(generate(spec).values, _reference_generate(spec))
 
 
 class TestTheoreticalAcf:
