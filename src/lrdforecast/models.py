@@ -5,13 +5,15 @@ integrated ARIMA. ARIMA picks its integer differencing order with the
 Dickey-Fuller test and its ARMA orders by the corrected AIC over a grid;
 the fractional model estimates the differencing exponent d jointly with
 the ARMA coefficients by minimising the conditional sum of squared
-innovations (CSS). Pure AR cells are solved by least squares; cells with an
-MA part by Levenberg-Marquardt on the Jacobian of the innovation filter,
-stopping at a gradient below 1e-5, a step that moves the cell's AICc by at
-most 0.01, or 200 steps, and keeping the last admissible (causal,
-invertible, no common root) point of the path. The fractional search
-differences the series once per coarse-grid d and shares those series
-across its (p, q) cells. Forecasts invert the fitted innovation filter
+innovations (CSS). With d fixed, pure AR cells are solved by least squares;
+every other cell by Levenberg-Marquardt on the Jacobian of the innovation
+filter, with d, when free, one more parameter projected onto [0, 0.4999]
+and a Jacobian row -log(1-B) applied to the innovations. A fit stops at a
+gradient below 1e-5, a step that moves the cell's AICc by at most 0.01, or
+200 steps, and keeps the last admissible (causal, invertible, no common
+root) point of its path. The fractional search starts every cell from the
+best d of a coarse grid, on which the (0, 0) cell's CSS is closed-form.
+Forecasts invert the fitted innovation filter
 phi(B)(1-B)**d/theta(B), with Gaussian prediction intervals computed on the
 (optionally Box-Cox transformed) fitting scale and mapped back. The filter,
 its inverse and the other operator primitives are in lrdforecast.operators.
@@ -35,7 +37,15 @@ from .errors import (
     SeriesTooShort,
 )
 from .lrd import adf_test
-from .operators import admissible, apply_fracdiff, innovations, integrate
+from .operators import (
+    admissible,
+    apply_fracdiff,
+    arpoly,
+    causal_convolve,
+    innovations,
+    integrate,
+    mapoly,
+)
 from .series import TimeSeries, TransformSpec, inv_boxcox
 
 NAIVE = "naive"
@@ -45,7 +55,8 @@ ARFIMA = "arfima"
 FAMILIES = (NAIVE, MEAN, ARIMA, ARFIMA)
 
 _ARFIMA_D_CAP = 0.4999
-# coarse d grid every ARFIMA cell scans before its golden-section refinement
+# coarse d grid on which the (0, 0) cell's CSS is closed-form; its best d
+# starts every cell's joint fit of (d, phi, theta)
 _ARFIMA_D_GRID = tuple(
     float(d) for d in np.round(np.arange(0.0, 0.45 + 1e-9, 0.05), 10)
 )
@@ -127,74 +138,88 @@ def _ols_ar(x: np.ndarray, p: int) -> np.ndarray:
     return coef
 
 
-def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None):
-    """Minimise the conditional sum of squared innovations over (phi, theta).
+def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
+                   theta: np.ndarray) -> None:
+    """Write into jac, zeros below its lag bands, the rows -dz/d(d, phi,
+    theta) of the innovations z = phi(B)/theta(B) y, y = (1-B)**d x, under
+    the zero presample; the d row comes first when jac has p + q + 1 rows.
+    They are lagged copies of y/theta(B) for phi and of z/theta(B) for
+    theta, and for d the lagged sum sum_{j>=1} z_{t-j}/j = -log(1-B) z,
+    exact because truncated lower-triangular Toeplitz operators commute."""
+    o, n = jac.shape[0] - p - theta.size, z.size
+    if o:
+        jac[0] = causal_convolve(np.concatenate(([0.0], 1.0 / np.arange(1, n))), z)
+    mpoly = mapoly(theta)
+    for first, series, lags in ((o, y, p), (o + p, z, theta.size)):
+        if lags:
+            u = lfilter((1.0,), mpoly, series)
+            for i in range(1, lags + 1):
+                jac[first + i - 1, i:] = u[:-i]
 
-    Pure AR cells are solved exactly by least squares. Cells with an MA part
-    run Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 1963) from a
-    zero or warm start; a warm start with a non-finite CSS falls back to
-    zero. The innovations are z = phi(B)/theta(B) x, and the Jacobian rows
-    are lagged copies of u = x/theta(B) (for phi) and v = z/theta(B) (for
-    theta), the recursions behind the analytic gradient. Each step solves
+
+def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
+    """Minimise the conditional sum of squared innovations (CSS) of
+    z = phi(B)(1-B)**d/theta(B) x.
+
+    The parameters are (phi, theta) with d = 0 or, with free_d, (d, phi,
+    theta) with d projected onto [0, _ARFIMA_D_CAP]. With d fixed, pure AR
+    cells are solved exactly by least squares. Otherwise Levenberg-Marquardt
+    (Marquardt, SIAM J. Appl. Math. 11, 1963) runs from start (zero when
+    None; a start with a non-finite CSS falls back to zero coefficients at
+    its d) on the Jacobian of _fill_jacobian. Each step solves
     (J'J + lam diag(J'J)) s = J'z and is taken only if the CSS comes out
     finite and lower; otherwise lam grows tenfold and the step is retried.
+    A d on a bound whose gradient points outward is held for that step and
+    left out of the gradient test; a fit with no free parameter left ends.
     The fit stops when max|grad CSS| <= 1e-5, when an accepted step moves
     the cell's AICc by at most 0.01 (n (f - f_new) / f_new <= 0.01), after
     200 steps, or when no damping gives a lower CSS. The steps are not
-    constrained, so the path may leave the causal and invertible region,
-    which the order search rejects; the fit returns the last admissible
-    point of its path, which is also its lowest-CSS admissible one (the
-    final point when none is). Returns (phi, theta, css, innovations).
+    constrained to the causal and invertible region, so the fit returns the
+    last admissible point of its path, which is also its lowest-CSS
+    admissible one (the final point when none is). Returns (params, css,
+    admissible).
     """
-    if p == 0 and q == 0:
-        return np.zeros(0), np.zeros(0), float(x @ x), x.copy()
-    if q == 0:
+    if not free_d and q == 0:
         phi = _ols_ar(x, p)
         z = innovations(x, phi, np.zeros(0))
-        return phi, np.zeros(0), float(z @ z), z
+        return phi, float(z @ z), admissible(phi, np.zeros(0))
 
-    n, k = x.size, p + q
-    apoly = np.zeros(p + 1)
-    apoly[0] = 1.0
-    mpoly = np.zeros(q + 1)
-    mpoly[0] = 1.0
-    one = np.ones(1)
+    n, o = x.size, int(free_d)
+    k = o + p + q
 
     def innovations_at(params):
-        apoly[1:] = -params[:p]
-        mpoly[1:] = params[p:]
-        return lfilter(apoly, mpoly, x)
+        y = apply_fracdiff(x, params[0]) if free_d else x
+        return y, lfilter(arpoly(params[o : o + p]), mapoly(params[o + p :]), y)
 
-    jac = np.zeros((k, n))
     lam = _LM_LAMBDA0
     with np.errstate(over="ignore", invalid="ignore"):
-        params = np.zeros(k) if warm is None else np.array(warm, dtype=float)
-        z = innovations_at(params)
+        params = np.zeros(k) if start is None else np.array(start, dtype=float)
+        y, z = innovations_at(params)
         f = float(z @ z)
         if not np.isfinite(f):
-            params = np.zeros(k)
-            z = innovations_at(params)
+            params[o:] = 0.0
+            y, z = innovations_at(params)
             f = float(z @ z)
         path = [params]
+        jac = np.zeros((k, n))
         for _ in range(_LM_MAXITER):
-            mpoly[1:] = params[p:]
-            if p:
-                u = lfilter(one, mpoly, x)
-                for i in range(1, p + 1):
-                    jac[i - 1, i:] = u[:-i]
-            v = lfilter(one, mpoly, z)
-            for j in range(1, q + 1):
-                jac[p + j - 1, j:] = v[:-j]
+            _fill_jacobian(jac, y, z, p, params[o + p :])
             g = jac @ z  # -grad(CSS) / 2
-            if not np.all(np.isfinite(g)) or 2.0 * np.max(np.abs(g)) <= _LM_GTOL:
+            d = params[0]  # held this step when on a bound with g pointing out
+            s = int(free_d and (d <= 0.0 and g[0] < 0 or d >= _ARFIMA_D_CAP and g[0] > 0))
+            g = g[s:]
+            if s == k or not np.all(np.isfinite(g)) or 2.0 * np.max(np.abs(g)) <= _LM_GTOL:
                 break
-            h = jac @ jac.T
+            h = (jac @ jac.T)[s:, s:]
             # an all-zero Jacobian row would leave the damped system singular
             scale = np.diag(h).copy()
             scale[~(scale > 0)] = 1.0
             while lam <= _LM_LAMBDA_MAX:
-                trial = params + np.linalg.solve(h + np.diag(lam * scale), g)
-                z_new = innovations_at(trial)
+                trial = params.copy()
+                trial[s:] += np.linalg.solve(h + np.diag(lam * scale), g)
+                if free_d:
+                    trial[0] = min(max(trial[0], 0.0), _ARFIMA_D_CAP)
+                y_new, z_new = innovations_at(trial)
                 f_new = float(z_new @ z_new)
                 if f_new < f:
                     break
@@ -202,7 +227,7 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
             else:
                 break
             done = n * (f - f_new) <= _LM_AICC_TOL * f_new
-            params, z, f = trial, z_new, f_new
+            params, y, z, f = trial, y_new, z_new, f_new
             path.append(params)
             lam /= 10.0
             if done:
@@ -210,13 +235,13 @@ def _css_fit_arma(x: np.ndarray, p: int, q: int, warm: np.ndarray | None = None)
         # the order search keeps only admissible fits, so return the last,
         # lowest-CSS, admissible point of the path
         for point in reversed(path):
-            if admissible(point[:p], point[p:]):
+            if admissible(point[o : o + p], point[o + p :]):
                 if point is not params:
                     params = point
-                    z = innovations_at(params)
+                    z = innovations_at(params)[1]
                     f = float(z @ z)
-                break
-    return params[:p].copy(), params[p:].copy(), f, z
+                return params, f, True
+    return params, f, False
 
 
 def _gaussian_loglik(css: float, n: int) -> float:
@@ -240,51 +265,71 @@ def _aicc_or_nan(loglik: float, n: int, p: int, q: int, extra_params: int = 0) -
     return aicc(loglik, n, p, q, extra_params)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
-    """Deterministic golden-section minimiser on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _search_orders(cell, n: int, max_p: int, max_q: int, extra: int, name: str):
     """Exhaustive AICc search over the (p, q) grid up to the bounds.
 
     cell(p, q) fits one cell on n effective observations and returns
-    (phi, theta, css, aux); it is called row by row, q fastest. Cells whose
-    AICc denominator n - p - q - 2 - extra is not positive are skipped,
-    non-finite or inadmissible fits are rejected, and AICc ties break toward
-    fewer parameters, then fewer AR terms. Returns the winner's
-    (p, q, phi, theta, css, aux, loglik, aicc).
+    (phi, theta, d, css, admissible); it is called row by row, q fastest.
+    Cells whose AICc denominator n - p - q - 2 - extra is not positive are
+    skipped, non-finite or inadmissible fits are rejected, and AICc ties
+    break toward fewer parameters, then fewer AR terms. Returns the
+    winner's (p, q, phi, theta, d, css, loglik, aicc).
     """
     best = None
     for p in range(max_p + 1):
         for q in range(max_q + 1):
             if n - p - q - 2 - extra <= 0:
                 continue
-            phi, theta, css, aux = cell(p, q)
-            if css <= 0 or not np.isfinite(css) or not admissible(phi, theta):
+            phi, theta, d, css, ok = cell(p, q)
+            if css <= 0 or not np.isfinite(css) or not ok:
                 continue
             ll = _gaussian_loglik(css, n)
             crit = aicc(ll, n, p, q, extra_params=extra)
             key = (crit, p + q, p)
             if best is None or key < best[0]:
-                best = (key, (p, q, phi, theta, css, aux, ll, crit))
+                best = (key, (p, q, phi, theta, d, css, ll, crit))
     if best is None:
         raise NoAdmissibleModel(f"no causal and invertible {name} candidate")
     return best[1]
+
+
+def _arma_cells(x: np.ndarray, d=0.0):
+    """cell(p, q) for _search_orders on x, already differenced by d: each
+    MA cell warm-starts from the previous q in its row."""
+    prev = np.zeros(0)
+
+    def cell(p, q):
+        nonlocal prev
+        prev, css, ok = _css_fit(x, p, q, np.append(prev, 0.0) if q else None)
+        return prev[:p], prev[p:], d, css, ok
+
+    return cell
+
+
+def _arfima_cells(x: np.ndarray):
+    """cell(p, q) for _search_orders fitting (d, phi, theta) jointly on x.
+
+    The (0, 0) cell's CSS is closed-form at each _ARFIMA_D_GRID value, and
+    its best grid d starts every cell. A pure AR cell starts from the
+    least-squares phi at that d. An MA cell runs from two starts, the
+    previous q in its row with a zero appended and zero coefficients at the
+    start d, and keeps the admissible fit with the lower CSS.
+    """
+    y0, d0 = min(((apply_fracdiff(x, d), d) for d in _ARFIMA_D_GRID),
+                 key=lambda yd: float(yd[0] @ yd[0]))
+    prev = np.zeros(0)
+
+    def cell(p, q):
+        nonlocal prev
+        if q:
+            starts = (np.append(prev, 0.0), np.concatenate(([d0], np.zeros(p + q))))
+        else:
+            starts = (np.concatenate(([d0], _ols_ar(y0, p))),)
+        prev, css, ok = min((_css_fit(x, p, q, start, free_d=True) for start in starts),
+                            key=lambda fit: (not fit[2], fit[1]))
+        return prev[1 : p + 1], prev[p + 1 :], float(prev[0]), css, ok
+
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -375,50 +420,12 @@ def fit_arima(
     n_eff = x.size
     extra = 1 if include_mean else 0
 
-    prev = []
-
-    def cell(p, q):
-        # warm-start each MA cell from the previous q in its row
-        warm = np.concatenate([*prev, [0.0]]) if q else None
-        phi, theta, css, z = _css_fit_arma(x, p, q, warm=warm)
-        prev[:] = [phi, theta]
-        return phi, theta, css, z
-
-    p, q, phi, theta, css, z, ll, crit = _search_orders(
-        cell, n_eff, max_p, max_q, extra, "ARIMA"
+    p, q, phi, theta, _, css, ll, crit = _search_orders(
+        _arma_cells(x), n_eff, max_p, max_q, extra, "ARIMA"
     )
     spec = ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean)
+    z = innovations(x, phi, theta)
     return _fitted(series, spec, mu, css / n_eff, z, ll, crit, phi, theta)
-
-
-def _fit_arfima_cell(fracdiff, p: int, q: int, fix_d: float | None):
-    """Best d for one (p, q) cell: coarse 0.05 grid, then golden-section
-    refinement. fracdiff(d) is the fractionally differenced series. The
-    inner ARMA fit warm-starts from the previous candidate along the
-    (deterministic) search path."""
-    state = {"warm": None}
-    cache = {}
-
-    def css_of(d):
-        d = float(d)
-        if d not in cache:
-            phi, theta, css, _ = _css_fit_arma(fracdiff(d), p, q, warm=state["warm"])
-            if phi.size + theta.size:
-                state["warm"] = np.concatenate([phi, theta])
-            cache[d] = (css, phi, theta)
-        return cache[d][0]
-
-    if fix_d is not None:
-        d_hat = float(fix_d)
-    else:
-        vals = [css_of(d) for d in _ARFIMA_D_GRID]
-        i = int(np.argmin(vals))
-        lo = max(0.0, _ARFIMA_D_GRID[i] - 0.05)
-        hi = min(_ARFIMA_D_CAP, _ARFIMA_D_GRID[i] + 0.05)
-        d_hat = _golden_min(css_of, lo, hi, tol=1e-3)
-    css = css_of(d_hat)
-    _, phi, theta = cache[float(d_hat)]
-    return phi, theta, css, d_hat
 
 
 def fit_arfima(
@@ -428,9 +435,9 @@ def fit_arfima(
 
     The series mean is estimated by the sample mean and subtracted; for each
     (p, q) up to the bounds, the differencing exponent d in [0, 0.4999] is
-    searched jointly with the ARMA coefficients on the fractionally
-    differenced series. Cells compete on AICc with d and the mean counted
-    as parameters. fix_d pins the exponent instead of searching, which also
+    fitted jointly with the ARMA coefficients by one Levenberg-Marquardt
+    solve per start (see _arfima_cells). Cells compete on AICc with d and
+    the mean counted as parameters. fix_d pins the exponent instead of searching, which also
     reduces the model to a plain ARMA when fix_d = 0.
     """
     n = len(series)
@@ -443,21 +450,12 @@ def fit_arfima(
     w = series.values
     mu = float(w.mean())
     x0 = w - mu
-    # the d values every cell evaluates are differenced once for all cells;
-    # golden-section points are not kept, they differ from cell to cell
-    shared = {
-        d: apply_fracdiff(x0, d)
-        for d in (_ARFIMA_D_GRID if fix_d is None else (float(fix_d),))
-    }
-
-    def fracdiff(d):
-        return shared[d] if d in shared else apply_fracdiff(x0, d)
-
-    p, q, phi, theta, css, d_hat, ll, crit = _search_orders(
-        lambda p, q: _fit_arfima_cell(fracdiff, p, q, fix_d),
-        n, max_p, max_q, 2, "fractional",
+    cell = (_arfima_cells(x0) if fix_d is None
+            else _arma_cells(apply_fracdiff(x0, fix_d), float(fix_d)))
+    p, q, phi, theta, d_hat, css, ll, crit = _search_orders(
+        cell, n, max_p, max_q, 2, "fractional"
     )
-    z = innovations(fracdiff(d_hat), phi, theta)
+    z = innovations(x0, phi, theta, d_hat)
     spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True)
     return _fitted(series, spec, mu, css / n, z, ll, crit, phi, theta)
 

@@ -65,13 +65,19 @@ def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
     )
 
 
-def apply_fracdiff(x: np.ndarray, d: float) -> np.ndarray:
-    """y_t = sum_{j<=t} pi_j x_{t-j}, truncating at the available history."""
+def causal_convolve(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """y_t = sum_{j<=t} w_j x_{t-j}: the lower-triangular Toeplitz operator
+    with first column w applied to x, directly up to 512 points and by FFT
+    above."""
     n = x.size
-    w = fracdiff_weights(d, n)
     if n <= 512:
         return np.convolve(w, x)[:n]
     return fftconvolve(w, x)[:n]
+
+
+def apply_fracdiff(x: np.ndarray, d: float) -> np.ndarray:
+    """y_t = sum_{j<=t} pi_j x_{t-j}, truncating at the available history."""
+    return causal_convolve(fracdiff_weights(d, x.size), x)
 
 
 def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
@@ -143,9 +149,11 @@ def admissible(phi, theta) -> bool:
     if not (roots_outside_unit_circle(ar) and roots_outside_unit_circle(ma)):
         return False
     if ar.size > 1 and ma.size > 1:
-        ar_roots, ma_roots = np.roots(ar[::-1]), np.roots(ma[::-1])
-        if ar_roots.size and ma_roots.size:
-            dist = np.abs(ar_roots[:, None] - ma_roots[None, :])
-            if dist.min() < _COMMON_ROOT_TOL:
-                return False
+        # the reciprocal roots come from monic polynomials, so a subnormal top
+        # coefficient cannot overflow; |1/a - 1/b| = |a - b| / |a b|
+        ra, rm = np.roots(ar)[:, None], np.roots(ma)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dist = np.abs(ra - rm) / np.abs(ra * rm)
+        if np.any(dist < _COMMON_ROOT_TOL):
+            return False
     return True

@@ -69,6 +69,14 @@ class TestSimulate:
         assert stamps == ["0", "0.5", "1"]
         assert run("analyze", str(out), "--out", str(tmp_path / "r.json")) == 0
 
+    def test_subnormal_theta_simulates(self, tmp_path):
+        # np.roots once overflowed on a subnormal coefficient in the
+        # admissibility check and raised a raw LinAlgError
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--kind", "arma", "--phi", "0.5", "--theta", "1e-313",
+                   "--n", "50", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 51
+
     def test_bad_kind_is_validation_error(self, tmp_path, capsys):
         rc = run("simulate", "--kind", "pink", "--n", "10",
                  "--out", str(tmp_path / "x.csv"))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 from scipy.signal import lfilter
 from scipy.special import gamma as gamma_fn
 
@@ -33,11 +33,13 @@ from lrdforecast import (
     frac_diff_coeffs,
     frac_difference,
     generate,
+    hurst_periodogram,
     transform,
 )
-from lrdforecast.models import FittedModel, _css_fit_arma, rebind
+from lrdforecast.models import _ARFIMA_D_CAP, FittedModel, _css_fit, _fill_jacobian, rebind
 from lrdforecast.operators import (
     admissible,
+    apply_fracdiff,
     arpoly,
     fracdiff_weights,
     innovations,
@@ -330,21 +332,22 @@ class TestFitArima:
             s = generate(GenSpec(kind="arma", n=n, seed=seed, phi=(0.5,), theta=(0.3,)))
             x = s.values - s.values.mean()
             for p, q in ((1, 1), (0, 1), (0, 2), (2, 1)):
-                css = _css_fit_arma(x, p, q)[2]
+                css = _css_fit(x, p, q)[1]
                 worst = max(worst, n * np.log(css / _lbfgsb_css(x, p, q)))
         assert worst <= 0.05
 
     def test_css_fit_ends_admissible(self):
         # on these log windows the unconstrained path leaves the causal and
         # invertible region in many cells; the fit must come back with an
-        # admissible point and that point's own CSS and innovations
+        # admissible point, say so, and return that point's own CSS
         for seed in range(1000, 1012):
             s = generate(GenSpec(kind="arfima", n=96, seed=seed, d=0.35, offset=50.0))
             x = np.diff(np.log(s.values))
             for p, q in ((1, 2), (2, 1), (2, 2), (3, 2), (3, 3)):
-                phi, theta, css, z = _css_fit_arma(x, p, q)
-                assert admissible(phi, theta)
-                np.testing.assert_array_equal(z, innovations(x, phi, theta))
+                params, css, ok = _css_fit(x, p, q)
+                phi, theta = params[:p], params[p:]
+                assert ok and admissible(phi, theta)
+                z = innovations(x, phi, theta)
                 assert css == float(z @ z)
 
 
@@ -418,14 +421,100 @@ class TestFitArfima:
     def test_determinism(self):
         s = generate(GenSpec(kind="arfima", n=500, seed=6, d=0.25))
         a = fit_arfima(s, max_p=1, max_q=1)
+        fit_arfima(generate(GenSpec(kind="arfima", n=300, seed=7, d=0.1)))
         b = fit_arfima(s, max_p=1, max_q=1)
         assert a.spec == b.spec
         np.testing.assert_array_equal(a.phi, b.phi)
-        assert a.sigma2 == b.sigma2
+        np.testing.assert_array_equal(a.theta, b.theta)
+        np.testing.assert_array_equal(a.residuals, b.residuals)
+        assert a.sigma2 == b.sigma2 and a.aicc == b.aicc
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             fit_arfima(TimeSeries(np.arange(1.0, 33.0)))
+
+
+def _whittle_d(series):
+    """Whittle estimate of d for ARFIMA(0, d, 0) (Fox & Taqqu, Ann. Statist.
+    14, 1986) on the periodogram hurst_periodogram evaluates, over its
+    Fourier frequencies up to pi/2: the spectral shape |2 sin(lam/2)|**(-2d)
+    is exact on any band, and the scale is profiled out."""
+    pts = hurst_periodogram(series, frequency_fraction=0.5).points
+    lam, pgram = pts[:, 0], pts[:, 1]
+
+    def objective(d):
+        g = np.abs(2.0 * np.sin(lam / 2.0)) ** (-2.0 * d)
+        return np.log(np.mean(pgram / g)) + np.mean(np.log(g))
+
+    return minimize_scalar(objective, bounds=(-0.49, 0.49), method="bounded",
+                           options={"xatol": 1e-6}).x
+
+
+class TestJointFit:
+    @pytest.mark.parametrize("n", [96, 700])
+    @pytest.mark.parametrize("p,q", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_jacobian_matches_finite_differences(self, p, q, n):
+        # every row, d's included, on both the direct (n <= 512) and the
+        # FFT convolution path
+        rng = np.random.default_rng(10 * p + q)
+        x = generate(GenSpec(kind="arfima", n=n, seed=p + q, d=0.3)).values
+        x = x - x.mean()
+        params = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, p + q)))
+
+        def z_at(v):
+            return innovations(x, v[1 : p + 1], v[p + 1 :], v[0])
+
+        jac = np.zeros((1 + p + q, n))
+        _fill_jacobian(jac, apply_fracdiff(x, params[0]), z_at(params), p, params[p + 1 :])
+        step = 1e-6
+        for i in range(1 + p + q):
+            e = np.eye(1 + p + q)[i] * step
+            fd = -(z_at(params + e) - z_at(params - e)) / (2.0 * step)
+            np.testing.assert_allclose(jac[i], fd, rtol=0, atol=1e-6 * np.abs(fd).max())
+
+    def test_white_noise_reaches_zero_exactly(self):
+        # where the CSS slope at d = 0 points below the bound, the projected
+        # fit stops at d = 0 exactly
+        zeros = 0
+        for seed in range(20):
+            s = generate(GenSpec(kind="white_noise", n=2000, seed=seed))
+            d = fit_arfima(s, max_p=0, max_q=0).spec.d
+            assert 0.0 <= d < 0.05
+            if d == 0.0:
+                zeros += 1
+                x = s.values - s.values.mean()
+                lagged = np.convolve(np.concatenate(([0.0], 1.0 / np.arange(1, x.size))), x)
+                assert x @ lagged[: x.size] <= 0.0  # dCSS/dd = -2 x'lagged >= 0
+        assert zeros >= 5
+
+    def test_random_walk_reaches_cap(self):
+        walk = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(500)))
+        assert fit_arfima(walk, max_p=0, max_q=0).spec.d == _ARFIMA_D_CAP
+        assert 0.0 <= fit_arfima(walk).spec.d <= _ARFIMA_D_CAP
+
+    def test_fix_d_has_no_d_row(self, monkeypatch):
+        calls = []
+
+        def spy(x, p, q, start=None, free_d=False):
+            calls.append(free_d)
+            return _css_fit(x, p, q, start, free_d)
+
+        monkeypatch.setattr("lrdforecast.models._css_fit", spy)
+        s = generate(GenSpec(kind="arfima", n=300, seed=8, d=0.3))
+        model = fit_arfima(s, max_p=1, max_q=1, fix_d=0.3)
+        assert model.spec.d == 0.3
+        assert calls and not any(calls)
+
+    def test_d_agrees_with_whittle_oracle(self):
+        # At n = 8192 the CSS d has standard deviation sqrt(6/(pi**2 n)) =
+        # 0.009 and the Whittle d on n/4 frequencies at most 1/sqrt(n) =
+        # 0.011, so 0.05 is 3.5 standard deviations of their difference
+        # even if the two were independent.
+        for d in (0.1, 0.25, 0.4):
+            for seed in range(3):
+                s = generate(GenSpec(kind="arfima", n=8192, seed=seed, d=d))
+                d_css = fit_arfima(s, max_p=0, max_q=0).spec.d
+                assert abs(d_css - _whittle_d(s)) <= 0.05
 
 
 def _pure_fractional_model(d, history, sigma2=1.0):
@@ -496,6 +585,7 @@ class TestForecast:
                                    rtol=1e-10)
 
     @settings(max_examples=200, deadline=None)
+    @example(ar_refl=[0.0], ma_refl=[2.2e-313], d=0, n=40, h=3, seed=0, log_scale=False)
     @given(
         ar_refl=st.lists(st.floats(-0.9, 0.9).map(lambda r: round(r, 2)), max_size=2),
         ma_refl=st.lists(st.floats(-0.9, 0.9).map(lambda r: round(r, 2)), max_size=2),
