@@ -26,7 +26,7 @@ from .errors import LrdForecastError
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
 from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
-from .operators import arpoly, mapoly, roots_outside_unit_circle
+from .operators import causal_invertible
 from .series import TimeSeries, TransformSpec, acf, ingest_csv, transform, write_csv
 from .synthgen import KINDS, GenSpec, generate
 
@@ -186,6 +186,16 @@ def _transform_from_doc(doc):
     return TransformSpec(lmbda=float(doc["lambda"]), applied=bool(doc["applied"]))
 
 
+def _exactly(kind):
+    """A decoder that passes only values of this JSON type: no true for an
+    integer, no 0.5 or "300" for one, no "false" for a boolean."""
+    def decode(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return decode
+
+
 def _number(value):
     # keeps the JSON type, so ARIMA's integer d reads back as an integer
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -208,10 +218,10 @@ def _floats(value) -> np.ndarray:
 # fitted quantity a forecast needs. Writer and reader both follow these lists.
 _SPEC_FIELDS = (
     ("family", str),
-    ("p", int),
+    ("p", _exactly(int)),
     ("d", _number),
-    ("q", int),
-    ("include_mean", bool),
+    ("q", _exactly(int)),
+    ("include_mean", _exactly(bool)),
 )
 _FIT_FIELDS = (
     ("phi", _floats),
@@ -220,7 +230,7 @@ _FIT_FIELDS = (
     ("sigma2", float),
     ("aicc", _float_or_nan),
     ("loglik", _float_or_nan),
-    ("n", int),
+    ("n", _exactly(int)),
     ("transform", _transform_from_doc),
 )
 
@@ -246,12 +256,10 @@ def _model_from_doc(doc: dict) -> FittedModel:
                    f"{theta.size} theta coefficients")
     elif not (math.isfinite(sigma2) and sigma2 >= 0.0):
         problem = f"sigma2 must be finite and non-negative, got {sigma2}"
-    elif not (roots_outside_unit_circle(arpoly(phi))
-              and roots_outside_unit_circle(mapoly(theta))):
+    elif not causal_invertible(phi, theta):
         problem = "phi or theta has a root on or inside the unit circle"
     else:
-        return FittedModel(spec=spec, residuals=np.zeros(0), history=np.zeros(1),
-                           **fitted)
+        return FittedModel(spec=spec, history=np.zeros(1), **fitted)
     raise CliValidationError(f"bad model document: {problem}")
 
 

@@ -95,17 +95,35 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FittedModel:
+    """A fit anchored to its history; n, the history's length, is kept
+    because a model document carries it without the history."""
+
     spec: ModelSpec
     phi: np.ndarray
     theta: np.ndarray
     mean: float
     sigma2: float
-    residuals: np.ndarray
     aicc: float
     loglik: float
     transform: TransformSpec | None
     n: int
-    history: np.ndarray  # training values on the fitting scale
+    history: np.ndarray  # the values anchoring the model, on the fitting scale
+
+    @property
+    def residuals(self) -> np.ndarray:
+        """The one-step residuals on the history, derived from it on each
+        access: its first differences for the naive model, its deviations
+        from the mean for the mean model, innovations(diff(history, d) -
+        mean, phi, theta) for ARIMA, d shorter than the history, and
+        innovations(history - mean, phi, theta, d) for the fractional model."""
+        fam, x = self.spec.family, self.history
+        if fam == NAIVE:
+            return np.diff(x)
+        if fam == MEAN:
+            return x - self.mean
+        if fam == ARIMA:
+            return innovations(np.diff(x, n=int(self.spec.d)) - self.mean, self.phi, self.theta)
+        return innovations(x - self.mean, self.phi, self.theta, self.spec.d)
 
 
 @dataclass(frozen=True)
@@ -200,7 +218,7 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
             params[o:] = 0.0
             y, z = innovations_at(params)
             f = float(z @ z)
-        path = [params]
+        path = [(params, f)]
         jac = np.zeros((k, n))
         for _ in range(_LM_MAXITER):
             _fill_jacobian(jac, y, z, p, params[o + p :])
@@ -228,19 +246,15 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
                 break
             done = n * (f - f_new) <= _LM_AICC_TOL * f_new
             params, y, z, f = trial, y_new, z_new, f_new
-            path.append(params)
+            path.append((params, f))
             lam /= 10.0
             if done:
                 break
         # the order search keeps only admissible fits, so return the last,
         # lowest-CSS, admissible point of the path
-        for point in reversed(path):
+        for point, css in reversed(path):
             if admissible(point[o : o + p], point[o + p :]):
-                if point is not params:
-                    params = point
-                    z = innovations_at(params)[1]
-                    f = float(z @ z)
-                return params, f, True
+                return point, css, True
     return params, f, False
 
 
@@ -337,8 +351,7 @@ def _arfima_cells(x: np.ndarray):
 
 
 def _fitted(series: TimeSeries, spec: ModelSpec, mean: float, sigma2: float,
-            residuals: np.ndarray, loglik: float, crit: float,
-            phi=None, theta=None) -> FittedModel:
+            loglik: float, crit: float, phi=None, theta=None) -> FittedModel:
     """A fit on series as a FittedModel; the series gives the transform,
     the length n and the history. Without phi or theta the model has no AR
     or MA terms."""
@@ -348,7 +361,6 @@ def _fitted(series: TimeSeries, spec: ModelSpec, mean: float, sigma2: float,
         theta=np.zeros(0) if theta is None else theta,
         mean=mean,
         sigma2=sigma2,
-        residuals=residuals,
         aicc=crit,
         loglik=loglik,
         transform=series.transform,
@@ -372,7 +384,7 @@ def fit_naive(series: TimeSeries) -> FittedModel:
     ll = _gaussian_loglik(float(resid @ resid), resid.size)
     crit = _aicc_or_nan(ll, resid.size, 0, 0)
     return _fitted(series, ModelSpec(NAIVE, include_mean=False), float(x[-1]),
-                   sigma2, resid, ll, crit)
+                   sigma2, ll, crit)
 
 
 def fit_mean(series: TimeSeries) -> FittedModel:
@@ -385,7 +397,7 @@ def fit_mean(series: TimeSeries) -> FittedModel:
     resid = x - mu
     ll = _gaussian_loglik(float(resid @ resid), n)
     crit = _aicc_or_nan(ll, n, 0, 0, extra_params=1)
-    return _fitted(series, ModelSpec(MEAN), mu, float(resid.var(ddof=1)), resid, ll, crit)
+    return _fitted(series, ModelSpec(MEAN), mu, float(resid.var(ddof=1)), ll, crit)
 
 
 def fit_arima(
@@ -404,16 +416,10 @@ def fit_arima(
         raise SeriesTooShort("ARIMA fitting needs at least 30 observations")
     if max_p < 0 or max_q < 0 or max_d < 0 or max_d > 2:
         raise MalformedInput("bad order bounds")
-    w = series.values
-    d = None
-    for cand in range(0, max_d + 1):
-        wd = np.diff(w, n=cand) if cand else w
+    for d in range(max_d + 1):
+        wd = np.diff(series.values, n=d)
         if wd.size >= 25 and adf_test(TimeSeries(wd)).stationary_at_5pct:
-            d = cand
             break
-    if d is None:
-        d = max_d
-    wd = np.diff(w, n=d) if d else w
     include_mean = d == 0
     mu = float(wd.mean()) if include_mean else 0.0
     x = wd - mu
@@ -424,8 +430,7 @@ def fit_arima(
         _arma_cells(x), n_eff, max_p, max_q, extra, "ARIMA"
     )
     spec = ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean)
-    z = innovations(x, phi, theta)
-    return _fitted(series, spec, mu, css / n_eff, z, ll, crit, phi, theta)
+    return _fitted(series, spec, mu, css / n_eff, ll, crit, phi, theta)
 
 
 def fit_arfima(
@@ -455,9 +460,8 @@ def fit_arfima(
     p, q, phi, theta, d_hat, css, ll, crit = _search_orders(
         cell, n, max_p, max_q, 2, "fractional"
     )
-    z = innovations(x0, phi, theta, d_hat)
     spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True)
-    return _fitted(series, spec, mu, css / n, z, ll, crit, phi, theta)
+    return _fitted(series, spec, mu, css / n, ll, crit, phi, theta)
 
 
 _FITTERS = {
@@ -551,23 +555,15 @@ def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
 def rebind(model: FittedModel, series: TimeSeries) -> FittedModel:
     """Re-anchor a fitted model to a new history.
 
-    ARIMA/ARFIMA coefficients, innovation variance and criteria are kept;
-    residuals are recomputed for the new data. The naive and mean families
-    are re-fit, since their level is a statistic of the history itself. The
-    series must be on the model's fitting scale.
+    ARIMA/ARFIMA models keep their coefficients, mean, innovation variance
+    and criteria and swap in the new history, from which their residuals
+    follow. The naive and mean families are re-fit, since their level is a
+    statistic of the history itself. The series must be on the model's
+    fitting scale.
     """
     if series.transform != model.transform:
         raise MalformedInput("series transform does not match the model's")
     fam = model.spec.family
     if fam in (NAIVE, MEAN):
         return fit(series, fam)
-    d = model.spec.d
-    if fam == ARIMA:
-        wd = np.diff(series.values, n=int(d)) if d else series.values
-        x = wd - model.mean
-    else:
-        x = apply_fracdiff(series.values - model.mean, d)
-    resid = innovations(x, model.phi, model.theta)
-    return dataclasses.replace(
-        model, residuals=resid, n=len(series), history=series.values.copy()
-    )
+    return dataclasses.replace(model, n=len(series), history=series.values.copy())

@@ -2,8 +2,9 @@
 
 The AR and MA polynomials phi(B) and theta(B) in ascending powers of the
 backshift B, the innovation filter phi(B)(1-B)**d/theta(B) and its inverse,
-the admissibility test (causal, invertible, no common root), and the
-fractional differencing operator (1-B)**d with its expansion coefficients.
+the causality and invertibility test, the admissibility test (causal,
+invertible, no common root), and the fractional differencing operator
+(1-B)**d with its expansion coefficients.
 """
 
 from __future__ import annotations
@@ -141,17 +142,23 @@ def roots_outside_unit_circle(poly: np.ndarray) -> bool:
     return True
 
 
+def causal_invertible(phi, theta) -> bool:
+    """Causality and invertibility: the roots of phi(B) and of theta(B) all
+    lie outside the unit circle."""
+    return (roots_outside_unit_circle(arpoly(phi))
+            and roots_outside_unit_circle(mapoly(theta)))
+
+
 def admissible(phi, theta) -> bool:
-    """Causality and invertibility: both polynomial root sets outside the
-    unit circle, and no (near-)common root between them, since a shared
-    factor cancels and leaves the parameterisation unidentified."""
-    ar, ma = arpoly(phi), mapoly(theta)
-    if not (roots_outside_unit_circle(ar) and roots_outside_unit_circle(ma)):
+    """Causality and invertibility, and no (near-)common root between phi(B)
+    and theta(B), since a shared factor cancels and leaves the
+    parameterisation unidentified."""
+    if not causal_invertible(phi, theta):
         return False
-    if ar.size > 1 and ma.size > 1:
+    if len(phi) and len(theta):
         # the reciprocal roots come from monic polynomials, so a subnormal top
         # coefficient cannot overflow; |1/a - 1/b| = |a - b| / |a b|
-        ra, rm = np.roots(ar)[:, None], np.roots(ma)[None, :]
+        ra, rm = np.roots(arpoly(phi))[:, None], np.roots(mapoly(theta))[None, :]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dist = np.abs(ra - rm) / np.abs(ra * rm)
         if np.any(dist < _COMMON_ROOT_TOL):

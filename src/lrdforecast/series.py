@@ -89,8 +89,9 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
         CSV file with header ``timestamp,value``; timestamps are epoch
         seconds and must be strictly increasing, values are positive reals.
     interval_hint : float, optional
-        Sampling period in seconds. When absent it is inferred as the modal
-        difference of consecutive timestamps.
+        Sampling period in seconds, finite and positive. When absent it is
+        inferred as the modal difference of consecutive timestamps. A gap
+        of more intervals than an index can count is an IrregularGrid.
     fill : {None, "locf"}
         Gap policy. None rejects any gap; "locf" fills gaps that span a
         whole number of intervals by carrying the last observation forward.
@@ -137,8 +138,8 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
 
     if interval_hint is not None:
         interval = float(interval_hint)
-        if interval <= 0:
-            raise MalformedInput("interval_hint must be positive")
+        if not 0.0 < interval < math.inf:
+            raise MalformedInput("interval_hint must be finite and positive")
     elif ts.size > 1:
         diffs, counts = np.unique(np.diff(ts), return_counts=True)
         interval = float(diffs[np.argmax(counts)])
@@ -148,19 +149,24 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
     # a gap may miss a whole number of intervals by 1e-9 of itself, or by
     # the rounding error of timestamps as large as these
     rel_tol = 1e-9 + 4.0 * sys.float_info.epsilon * float(np.abs(ts).max()) / interval
+    # Python floats, on which a gap / interval that overflows is inf, not a warning
+    stamps = ts.tolist()
     values = [vs[0]]
-    for i in range(1, ts.size):
-        gap = ts[i] - ts[i - 1]
+    for i in range(1, len(stamps)):
+        gap = stamps[i] - stamps[i - 1]
         steps = gap / interval
+        if not steps < sys.maxsize:  # inf too; a fill must fit in an index
+            raise IrregularGrid(f"{path}: gap of {gap}s at t={stamps[i]} spans too "
+                                f"many intervals of {interval}s to fill")
         k = int(round(steps))
         if k < 1 or abs(steps - k) > rel_tol * max(1.0, abs(steps)):
             raise IrregularGrid(
-                f"{path}: gap of {gap}s at t={ts[i]} is not a multiple of {interval}s"
+                f"{path}: gap of {gap}s at t={stamps[i]} is not a multiple of {interval}s"
             )
         if k > 1:
             if fill != "locf":
                 raise IrregularGrid(
-                    f"{path}: gap of {k} intervals at t={ts[i]} (no fill policy)"
+                    f"{path}: gap of {k} intervals at t={stamps[i]} (no fill policy)"
                 )
             values.extend([values[-1]] * (k - 1))
         values.append(vs[i])

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Criterion 5 is the heavy
-one (a full rolling-origin protocol over ten simulated services) and takes
-on the order of fifteen minutes; everything else finishes in seconds.
+one (a full rolling-origin protocol over ten simulated services) and took
+about three minutes on 2 cores with one BLAS thread; everything else
+finishes in a few seconds.
 
 Criterion 2's white-noise half is expected to FAIL: the rescaled-range
 estimator is biased above 1/2 on short-memory data (its own tolerated

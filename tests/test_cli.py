@@ -114,6 +114,21 @@ class TestAnalyze:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "SeriesTooShort"
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--interval", "nan"], "MalformedInput"),
+        (["--interval", "1e-310"], "IrregularGrid"),
+        (["--interval", "1e-300", "--fill", "locf"], "IrregularGrid"),
+    ], ids=["nan", "overflowing-count", "unfillable-gap"])
+    def test_bad_interval_hint_is_one_error_line(self, sim_csv, tmp_path, capsys, flags,
+                                                 error):
+        report = tmp_path / "r.json"
+        rc = run("analyze", str(sim_csv), *flags, "--out", str(report))
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error
+        assert not report.exists()
+
     def test_byte_identical_reruns(self, sim_csv, tmp_path):
         a, b = tmp_path / "r1.json", tmp_path / "r2.json"
         assert run("analyze", str(sim_csv), "--out", str(a)) == 0
@@ -189,6 +204,12 @@ class TestFitForecast:
         pytest.param(json.dumps({**_ARIMA_DOC, "phi": [1.5]}), id="non-causal-phi"),
         pytest.param(json.dumps({**_ARIMA_DOC, "q": 1, "theta": [-1.0]}),
                      id="non-invertible-theta"),
+        # the decoders take JSON integers and booleans only, not what casts to them
+        pytest.param(json.dumps({**_ARIMA_DOC, "include_mean": "false"}),
+                     id="string-include-mean"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "q": 0.5}), id="fractional-q"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "n": "300"}), id="string-n"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "n": 2.5}), id="fractional-n"),
     ])
     def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
         model, out = tmp_path / "bad.json", tmp_path / "fc.csv"

@@ -41,6 +41,7 @@ from lrdforecast.operators import (
     admissible,
     apply_fracdiff,
     arpoly,
+    causal_invertible,
     fracdiff_weights,
     innovations,
     integrate,
@@ -222,6 +223,17 @@ class TestUnitCircleTest:
         poly = np.real(np.poly(1.0 / np.array(roots))) if roots else np.ones(1)
         expect = all(abs(r) > 1.0 for r in roots)
         assert roots_outside_unit_circle(poly) == expect
+
+    @pytest.mark.parametrize("phi, theta, causal, adm", [
+        ((), (), True, True),
+        ((0.5,), (0.4,), True, True),
+        ((1.5,), (), False, False),  # phi(B) = 1 - 1.5 B has its root at 2/3
+        ((), (-1.0,), False, False),  # theta(B) = 1 - B has a unit root
+        ((0.5,), (-0.5,), True, False),  # causal and invertible, one common root
+    ])
+    def test_causal_invertible(self, phi, theta, causal, adm):
+        assert causal_invertible(phi, theta) == causal
+        assert admissible(phi, theta) == adm
 
 
 class TestInnovationFilter:
@@ -524,7 +536,6 @@ def _pure_fractional_model(d, history, sigma2=1.0):
         theta=np.zeros(0),
         mean=0.0,
         sigma2=sigma2,
-        residuals=np.zeros(len(history)),
         aicc=float("nan"),
         loglik=float("nan"),
         transform=None,
@@ -605,7 +616,7 @@ class TestForecast:
         model = FittedModel(
             spec=ModelSpec(family, p=phi.size, d=d, q=theta.size, include_mean=include_mean),
             phi=phi, theta=theta, mean=float(history.mean()), sigma2=0.01,
-            residuals=np.zeros(n), aicc=float("nan"), loglik=float("nan"),
+            aicc=float("nan"), loglik=float("nan"),
             transform=TransformSpec(0.0) if log_scale else None, n=n, history=history,
         )
         fc = forecast(model, h)
@@ -676,21 +687,24 @@ class TestForecast:
         assert abs(fc.point[0] - s.values[-1]) < 5 * np.sqrt(model.sigma2)
 
 
+@pytest.fixture(scope="module")
+def window():
+    # a log-scale window of one rolling origin's size
+    s = generate(GenSpec(kind="arfima", n=96, seed=3, d=0.3, offset=30.0))
+    return transform(s, TransformSpec(0.0))
+
+
 def _assert_same_fit(a, b):
-    for f in dataclasses.fields(FittedModel):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
+    # residuals is a property, not a field, so it is named here
+    for name in [f.name for f in dataclasses.fields(FittedModel)] + ["residuals"]:
+        va, vb = getattr(a, name), getattr(b, name)
         if isinstance(va, np.ndarray):
             np.testing.assert_array_equal(va, vb)
         else:
-            assert va == vb, f.name
+            assert va == vb, name
 
 
 class TestFitDispatch:
-    @pytest.fixture(scope="class")
-    def window(self):
-        s = generate(GenSpec(kind="arfima", n=96, seed=3, d=0.3, offset=30.0))
-        return transform(s, TransformSpec(0.0))
-
     @pytest.mark.parametrize(
         "family, fitter",
         [("naive", fit_naive), ("mean", fit_mean), ("arima", fit_arima), ("arfima", fit_arfima)],
@@ -709,6 +723,51 @@ class TestFitDispatch:
     def test_unknown_family(self, window):
         with pytest.raises(MalformedInput):
             fit(window, "ets")
+
+
+class TestResiduals:
+    def test_derived_not_stored(self):
+        assert "residuals" not in {f.name for f in dataclasses.fields(FittedModel)}
+
+    def test_naive_convention(self, window):
+        np.testing.assert_array_equal(fit_naive(window).residuals, np.diff(window.values))
+
+    def test_mean_convention(self, window):
+        np.testing.assert_array_equal(fit_mean(window).residuals,
+                                      window.values - window.values.mean())
+
+    def test_arima_convention(self):
+        s = generate(GenSpec(kind="random_walk", n=300, seed=1))
+        model = fit_arima(s, max_p=1, max_q=1)
+        d = model.spec.d
+        assert d == 1 and model.residuals.size == len(s) - d
+        np.testing.assert_array_equal(
+            model.residuals, innovations(np.diff(s.values) - model.mean, model.phi, model.theta)
+        )
+        # on the differenced scale the CSS is the sum of squared residuals
+        assert model.sigma2 == pytest.approx(float(model.residuals @ model.residuals)
+                                             / model.residuals.size, rel=1e-12)
+
+    def test_arfima_convention(self, window):
+        model = fit_arfima(window)
+        assert model.residuals.size == len(window)
+        np.testing.assert_array_equal(
+            model.residuals,
+            innovations(window.values - model.mean, model.phi, model.theta, model.spec.d),
+        )
+
+    @pytest.mark.parametrize("family", ["naive", "mean", "arima", "arfima"])
+    def test_rebind_on_own_series_reproduces_residuals(self, window, family):
+        model = fit(window, family)
+        np.testing.assert_array_equal(rebind(model, window).residuals, model.residuals)
+
+    def test_rebind_reproduces_residuals_at_zero_d(self):
+        # a white-noise fit that lands on d = 0 exactly: its residuals must not
+        # pick up the rounding of a fractional difference by 0 on rebinding
+        s = generate(GenSpec(kind="white_noise", n=2000, seed=0))
+        model = fit_arfima(s, max_p=0, max_q=0)
+        assert model.spec.d == 0.0
+        np.testing.assert_array_equal(rebind(model, s).residuals, model.residuals)
 
 
 class TestRebind:

@@ -87,6 +87,20 @@ class TestIngest:
         ts = ingest_csv(path, interval_hint=3600, fill="locf")
         assert len(ts) == 3
 
+    @pytest.mark.parametrize("hint", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_interval_hint_must_be_finite_and_positive(self, tmp_path, hint):
+        path = _write(tmp_path, ["0,1", "3600,2"])
+        with pytest.raises(MalformedInput, match="finite and positive"):
+            ingest_csv(path, interval_hint=hint)
+
+    @pytest.mark.parametrize("hint, fill", [(1e-310, None), (1e-300, "locf")],
+                             ids=["count-overflows", "count-too-large-to-fill"])
+    def test_gap_of_too_many_intervals_is_irregular(self, tmp_path, hint, fill):
+        # 3600 / 1e-310 is inf, and 3600 / 1e-300 intervals cannot be filled
+        path = _write(tmp_path, ["0,1", "3600,2", "7200,3"])
+        with pytest.raises(IrregularGrid, match=r"gap of 3600\.0s at t=3600\.0"):
+            ingest_csv(path, interval_hint=hint, fill=fill)
+
     def test_modal_interval_inference(self, tmp_path):
         rows = ["0,1", "60,2", "120,3", "180,4", "360,5"]
         ts = ingest_csv(_write(tmp_path, rows), fill="locf")
