@@ -180,12 +180,6 @@ def _transform_doc(spec: TransformSpec | None):
     return {"lambda": spec.lmbda, "applied": spec.applied}
 
 
-def _transform_from_doc(doc):
-    if doc is None:
-        return None
-    return TransformSpec(lmbda=float(doc["lambda"]), applied=bool(doc["applied"]))
-
-
 def _exactly(kind):
     """A decoder that passes only values of this JSON type: no true for an
     integer, no 0.5 or "300" for one, no "false" for a boolean."""
@@ -203,18 +197,30 @@ def _number(value):
     return value
 
 
+def _real(value) -> float:
+    return float(_number(value))
+
+
 def _float_or_nan(value) -> float:
-    return float("nan") if value is None else float(value)
+    return float("nan") if value is None else _real(value)
 
 
 def _floats(value) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.ndim != 1:
-        raise ValueError(f"expected a list of numbers, got {value!r}")
-    return out
+    if type(value) is not list:
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return np.array([_real(v) for v in value])
 
 
-# The model document: (key, decoder) for each ModelSpec field, then for each
+def _transform_from_doc(doc):
+    if doc is None:
+        return None
+    if type(doc) is not dict:
+        raise TypeError(f"expected null or an object, got {doc!r}")
+    return TransformSpec(lmbda=_real(doc["lambda"]),
+                         applied=_exactly(bool)(doc["applied"]))
+
+
+# The model document: (key, decoder) for each ModelSpec attribute, then for each
 # fitted quantity a forecast needs. Writer and reader both follow these lists.
 _SPEC_FIELDS = (
     ("family", str),
@@ -226,8 +232,8 @@ _SPEC_FIELDS = (
 _FIT_FIELDS = (
     ("phi", _floats),
     ("theta", _floats),
-    ("mean", float),
-    ("sigma2", float),
+    ("mean", _real),
+    ("sigma2", _real),
     ("aicc", _float_or_nan),
     ("loglik", _float_or_nan),
     ("n", _exactly(int)),
@@ -244,16 +250,22 @@ def _model_doc(model: FittedModel) -> dict:
 
 def _model_from_doc(doc: dict) -> FittedModel:
     try:
-        spec = ModelSpec(**{key: decode(doc[key]) for key, decode in _SPEC_FIELDS})
+        given = {key: decode(doc[key]) for key, decode in _SPEC_FIELDS}
+        include_mean = given.pop("include_mean")
+        spec = ModelSpec(**given)
         fitted = {key: decode(doc[key]) for key, decode in _FIT_FIELDS}
     except KeyError as exc:
         raise CliValidationError(f"model document lacks {exc}") from None
     except (TypeError, ValueError) as exc:  # MalformedInput is a ValueError too
         raise CliValidationError(f"bad model document: {exc}") from None
-    phi, theta, sigma2 = fitted["phi"], fitted["theta"], fitted["sigma2"]
-    if (spec.p, spec.q) != (phi.size, theta.size):
+    phi, theta, mean, sigma2 = (fitted[key] for key in ("phi", "theta", "mean", "sigma2"))
+    if include_mean != spec.include_mean:
+        problem = f"include_mean={include_mean} contradicts {spec.family} with d={spec.d}"
+    elif (spec.p, spec.q) != (phi.size, theta.size):
         problem = (f"p={spec.p}, q={spec.q} but {phi.size} phi and "
                    f"{theta.size} theta coefficients")
+    elif not math.isfinite(mean):
+        problem = f"mean must be finite, got {mean}"
     elif not (math.isfinite(sigma2) and sigma2 >= 0.0):
         problem = f"sigma2 must be finite and non-negative, got {sigma2}"
     elif not causal_invertible(phi, theta):
@@ -270,7 +282,7 @@ def _config_doc(config: CvConfig) -> dict:
 
 
 def _cv_doc(report) -> dict:
-    doc = {
+    return {
         "series_label": report.series_label,
         "metrics": {m: _fields(ms, "mae", "mape", "count")
                     for m, ms in report.per_method.items()},
@@ -278,9 +290,6 @@ def _cv_doc(report) -> dict:
                          for (a, b), imp in report.improvements.items()},
         "excluded_origins": report.excluded_origins,
     }
-    if report.boxplot is not None:
-        doc["boxplot"] = report.boxplot
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +442,10 @@ def _transform_of_lambda(value):
 _CV_OPTIONS = (
     ("lmbda", "lambda", "transform", _transform_of_lambda),
     ("methods", "methods", "methods", _methods),
-    ("window", "window", "window", int),
-    ("horizon", "horizon", "max_horizon", int),
-    ("step", "step", "step", int),
-    ("level", "level", "level", float),
+    ("window", "window", "window", _exactly(int)),
+    ("horizon", "horizon", "max_horizon", _exactly(int)),
+    ("step", "step", "step", _exactly(int)),
+    ("level", "level", "level", _number),
 )
 
 
@@ -481,7 +490,7 @@ def _cmd_crossval(args) -> int:
             {"path": str(p), "analysis": a, "cv": _cv_doc(r)}
             for p, (a, r) in zip(paths, results)
         ],
-        "aggregate": _cv_doc(pooled),
+        "aggregate": {**_cv_doc(pooled), "boxplot": pooled.boxplot},
     }
     report_path = os.path.join(args.out_dir, "report.json")
     _write_json(report_path, doc)

@@ -9,6 +9,8 @@ horizon, and methods are compared pairwise by percentage MAPE reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -58,14 +60,23 @@ class CvConfig:
 
 @dataclass(frozen=True)
 class MetricSet:
-    """Per-horizon accuracy of one method: pooled MAE and MAPE plus the
-    underlying per-origin error matrices (origins x horizons)."""
+    """Per-origin errors of one method, origins x horizons: actual minus
+    forecast, and that in percent of the actual; MAE, MAPE and count derive from them."""
 
-    mae: np.ndarray
-    mape: np.ndarray
     errors: np.ndarray
     pct_errors: np.ndarray
-    count: int
+
+    @cached_property
+    def mae(self) -> np.ndarray:
+        return np.abs(self.errors).mean(axis=0)
+
+    @cached_property
+    def mape(self) -> np.ndarray:
+        return np.abs(self.pct_errors).mean(axis=0)
+
+    @property
+    def count(self) -> int:
+        return self.errors.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,16 +91,39 @@ class Improvement:
 
 @dataclass(frozen=True)
 class CvReport:
+    """Per-method MetricSets of one rolling-origin run, or of several pooled,
+    and the excluded origins; improvements and boxplot derive from them."""
+
     per_method: dict
-    improvements: dict
     series_label: str
     config: CvConfig
     excluded_origins: tuple = ()
-    boxplot: dict | None = None
 
     @property
     def total_experiments(self) -> int:
         return sum(m.count * self.config.max_horizon for m in self.per_method.values())
+
+    @cached_property
+    def improvements(self) -> dict:
+        """Improvement of b over a for each ordered pair (a, b) of methods;
+        empty unless every method scored an origin."""
+        out = {}
+        if any(ms.count == 0 for ms in self.per_method.values()):
+            return out
+        for (a, ms_a), (b, ms_b) in permutations(self.per_method.items(), 2):
+            ma, mb = ms_a.mape, ms_b.mape
+            per_h = np.where(ma > 0, (ma - mb) / np.where(ma > 0, ma, 1.0) * 100.0, np.nan)
+            mean_a, mean_b = float(ma.mean()), float(mb.mean())
+            mean_impr = improvement(mean_a, mean_b) if mean_a > 0 else float("nan")
+            max_impr = float(np.nanmax(per_h)) if np.any(np.isfinite(per_h)) else float("nan")
+            out[(a, b)] = Improvement(per_horizon=per_h, mean=mean_impr, max=max_impr)
+        return out
+
+    @cached_property
+    def boxplot(self) -> dict:
+        """Per method, horizons x (min, q1, median, q3, max) of |pct_errors|."""
+        return {m: np.percentile(np.abs(ms.pct_errors), [0, 25, 50, 75, 100], axis=0).T
+                for m, ms in self.per_method.items()}
 
 
 def mae(actual, forecast_values) -> float:
@@ -120,34 +154,6 @@ def improvement(mape_baseline: float, mape_candidate: float) -> float:
     return float((mape_baseline - mape_candidate) / mape_baseline * 100.0)
 
 
-def _improvement_table(per_method: dict, methods) -> dict:
-    """Pairwise improvements; empty unless every method scored an origin."""
-    out = {}
-    if any(ms.count == 0 for ms in per_method.values()):
-        return out
-    for a in methods:
-        for b in methods:
-            if a == b:
-                continue
-            ma, mb = per_method[a].mape, per_method[b].mape
-            per_h = np.where(ma > 0, (ma - mb) / np.where(ma > 0, ma, 1.0) * 100.0, np.nan)
-            mean_a, mean_b = float(ma.mean()), float(mb.mean())
-            mean_impr = improvement(mean_a, mean_b) if mean_a > 0 else float("nan")
-            max_impr = float(np.nanmax(per_h)) if np.any(np.isfinite(per_h)) else float("nan")
-            out[(a, b)] = Improvement(per_horizon=per_h, mean=mean_impr, max=max_impr)
-    return out
-
-
-def _metrics_from_matrices(e: np.ndarray, pct: np.ndarray) -> MetricSet:
-    return MetricSet(
-        mae=np.abs(e).mean(axis=0),
-        mape=np.abs(pct).mean(axis=0),
-        errors=e,
-        pct_errors=pct,
-        count=e.shape[0],
-    )
-
-
 def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     """Run the rolling-origin protocol on one series.
 
@@ -155,7 +161,7 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     is fit and asked for forecasts over 1..max_horizon, and the
     back-transformed points are scored against the actuals. An origin where
     any method fails is excluded for all methods, keeping every pairwise
-    comparison paired.
+    comparison paired. Each error matrix has one row per scored origin.
     """
     n = len(series)
     if config.window + config.max_horizon > n:
@@ -194,34 +200,22 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
             errors[m].append(e)
             pct[m].append(100.0 * e / actual)
 
-    per_method = {}
-    for m in config.methods:
-        e = np.asarray(errors[m]) if errors[m] else np.empty((0, config.max_horizon))
-        p = np.asarray(pct[m]) if pct[m] else np.empty((0, config.max_horizon))
-        per_method[m] = _metrics_from_matrices(e, p)
+    h = config.max_horizon
     return CvReport(
-        per_method=per_method,
-        improvements=_improvement_table(per_method, config.methods),
+        per_method={m: MetricSet(np.asarray(errors[m]).reshape(-1, h),
+                                 np.asarray(pct[m]).reshape(-1, h))
+                    for m in config.methods},
         series_label=series.label,
         config=config,
         excluded_origins=tuple(excluded),
     )
 
 
-def _boxplot_quantiles(per_method: dict) -> dict:
-    out = {}
-    for m, ms in per_method.items():
-        absp = np.abs(ms.pct_errors)
-        out[m] = np.percentile(absp, [0, 25, 50, 75, 100], axis=0).T  # h x 5
-    return out
-
-
 def aggregate_reports(reports) -> CvReport:
-    """Pool per-origin errors across series and recompute all metrics.
+    """Pool per-origin errors across series by stacking each method's
+    error matrices; every metric of the pooled report derives from them.
 
-    Configurations must match exactly. The pooled report also carries
-    per-horizon quantiles (min, q1, median, q3, max) of the absolute
-    percentage errors for boxplot-style presentation.
+    Configurations must match exactly.
     """
     reports = list(reports)
     if not reports:
@@ -230,16 +224,11 @@ def aggregate_reports(reports) -> CvReport:
     for r in reports[1:]:
         if r.config != config:
             raise ConfigMismatch("reports were produced under different configs")
-    per_method = {}
-    for m in config.methods:
-        e = np.vstack([r.per_method[m].errors for r in reports])
-        p = np.vstack([r.per_method[m].pct_errors for r in reports])
-        per_method[m] = _metrics_from_matrices(e, p)
     return CvReport(
-        per_method=per_method,
-        improvements=_improvement_table(per_method, config.methods),
+        per_method={m: MetricSet(np.vstack([r.per_method[m].errors for r in reports]),
+                                 np.vstack([r.per_method[m].pct_errors for r in reports]))
+                    for m in config.methods},
         series_label=";".join(r.series_label for r in reports),
         config=config,
         excluded_origins=tuple(x for r in reports for x in r.excluded_origins),
-        boxplot=_boxplot_quantiles(per_method),
     )

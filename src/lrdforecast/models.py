@@ -78,7 +78,6 @@ class ModelSpec:
     p: int = 0
     d: float = 0.0
     q: int = 0
-    include_mean: bool = True
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -91,6 +90,12 @@ class ModelSpec:
             raise MalformedInput("ARIMA differencing order must be 0, 1 or 2")
         if self.family == ARFIMA and not 0.0 <= self.d < 0.5:
             raise MalformedInput("fractional d must lie in [0, 0.5)")
+
+    @property
+    def include_mean(self) -> bool:
+        """Whether a mean is estimated: not for the naive model, nor for
+        ARIMA with d >= 1, since a differenced model carries no drift."""
+        return self.family in (MEAN, ARFIMA) or (self.family == ARIMA and self.d == 0)
 
 
 @dataclass(frozen=True)
@@ -383,8 +388,7 @@ def fit_naive(series: TimeSeries) -> FittedModel:
     sigma2 = float(resid.var(ddof=1)) if resid.size > 1 else 0.0
     ll = _gaussian_loglik(float(resid @ resid), resid.size)
     crit = _aicc_or_nan(ll, resid.size, 0, 0)
-    return _fitted(series, ModelSpec(NAIVE, include_mean=False), float(x[-1]),
-                   sigma2, ll, crit)
+    return _fitted(series, ModelSpec(NAIVE), float(x[-1]), sigma2, ll, crit)
 
 
 def fit_mean(series: TimeSeries) -> FittedModel:
@@ -409,7 +413,7 @@ def fit_arima(
     Dickey-Fuller test declares stationary (falling back to max_d when none
     does). The (p, q) grid is searched exhaustively; inadmissible fits are
     discarded and ties break toward smaller orders. A mean is estimated
-    only for d = 0: differenced models carry no drift.
+    only when ModelSpec.include_mean says so, that is for d = 0.
     """
     n = len(series)
     if n < 30:
@@ -420,16 +424,15 @@ def fit_arima(
         wd = np.diff(series.values, n=d)
         if wd.size >= 25 and adf_test(TimeSeries(wd)).stationary_at_5pct:
             break
-    include_mean = d == 0
+    include_mean = ModelSpec(ARIMA, d=d).include_mean
     mu = float(wd.mean()) if include_mean else 0.0
     x = wd - mu
     n_eff = x.size
-    extra = 1 if include_mean else 0
 
     p, q, phi, theta, _, css, ll, crit = _search_orders(
-        _arma_cells(x), n_eff, max_p, max_q, extra, "ARIMA"
+        _arma_cells(x), n_eff, max_p, max_q, int(include_mean), "ARIMA"
     )
-    spec = ModelSpec(ARIMA, p=p, d=d, q=q, include_mean=include_mean)
+    spec = ModelSpec(ARIMA, p=p, d=d, q=q)
     return _fitted(series, spec, mu, css / n_eff, ll, crit, phi, theta)
 
 
@@ -460,7 +463,7 @@ def fit_arfima(
     p, q, phi, theta, d_hat, css, ll, crit = _search_orders(
         cell, n, max_p, max_q, 2, "fractional"
     )
-    spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q, include_mean=True)
+    spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q)
     return _fitted(series, spec, mu, css / n, ll, crit, phi, theta)
 
 

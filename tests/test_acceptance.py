@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Criterion 5 is the heavy
+Run with `pytest tests/test_acceptance.py`; the PASS/FAIL lines print
+past pytest's capture, so `-s` is not needed. Criterion 5 is the heavy
 one (a full rolling-origin protocol over ten simulated services) and took
 about three minutes on 2 cores with one BLAS thread; everything else
 finishes in a few seconds.
@@ -13,7 +14,6 @@ happens for roughly 44% of seeds, not 90%. The check is kept faithful to
 its stated form rather than weakened.
 """
 
-import sys
 import time
 
 import numpy as np
@@ -48,13 +48,14 @@ from lrdforecast.models import rebind
 SEEDS = range(50)
 
 
-def _check(ok: bool, label: str, detail: str) -> None:
-    # the real stdout, so the line shows even under pytest capture
-    print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}", file=sys.__stdout__)
+def _check(capsys, ok: bool, label: str, detail: str) -> None:
+    # with capture off, so the line shows in a plain `pytest -q` run too
+    with capsys.disabled():
+        print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     assert ok, f"{label}: {detail}"
 
 
-def test_criterion_1_hurst_recovery():
+def test_criterion_1_hurst_recovery(capsys):
     t0 = time.time()
     estimators = {
         "aggregated_variance": hurst_aggregated_variance,
@@ -75,12 +76,12 @@ def test_criterion_1_hurst_recovery():
             details.append(f"{name}@H={hurst}: {mean_err:.3f}")
     elapsed = time.time() - t0
     ok = worst <= 0.1 and elapsed <= 60
-    _check(ok, "criterion 1 (Hurst recovery)",
+    _check(capsys, ok, "criterion 1 (Hurst recovery)",
            f"worst mean |H^ - H| = {worst:.3f} (<= 0.1), {elapsed:.0f}s; "
            + "; ".join(details))
 
 
-def test_criterion_2_memory_classification():
+def test_criterion_2_memory_classification(capsys):
     t0 = time.time()
     rates = {}
     for d in (0.2, 0.3, 0.4):
@@ -98,11 +99,11 @@ def test_criterion_2_memory_classification():
     rates["SRD@white-noise"] = srd
     elapsed = time.time() - t0
     ok = all(v >= 45 for v in rates.values()) and elapsed <= 60
-    _check(ok, "criterion 2 (memory classification)",
+    _check(capsys, ok, "criterion 2 (memory classification)",
            f"{rates} out of 50 each (need >= 45), {elapsed:.0f}s")
 
 
-def test_criterion_3_fractional_differencing_algebra():
+def test_criterion_3_fractional_differencing_algebra(capsys):
     t0 = time.time()
     impulse = np.zeros(256)
     impulse[0] = 1.0
@@ -122,12 +123,12 @@ def test_criterion_3_fractional_differencing_algebra():
     integer_ok = bool(np.array_equal(d1[1:], np.diff(ts2.values)))
     elapsed = time.time() - t0
     ok = inverse_ok and round_trip_ok and integer_ok and elapsed <= 1.0
-    _check(ok, "criterion 3 (fractional differencing algebra)",
+    _check(capsys, ok, "criterion 3 (fractional differencing algebra)",
            f"operator inverse {inverse_ok}, round trip {round_trip_ok}, "
            f"integer match {integer_ok}, {elapsed:.2f}s")
 
 
-def test_criterion_4_d_estimation_consistency():
+def test_criterion_4_d_estimation_consistency(capsys):
     t0 = time.time()
     d_hats = []
     for seed in SEEDS:
@@ -138,12 +139,12 @@ def test_criterion_4_d_estimation_consistency():
     mean_dev = abs(float(d_hats.mean()) - 0.3)
     elapsed = time.time() - t0
     ok = mean_dev <= 0.05 and in_range >= 45 and elapsed <= 300
-    _check(ok, "criterion 4 (d-estimation consistency)",
+    _check(capsys, ok, "criterion 4 (d-estimation consistency)",
            f"mean d^ = {d_hats.mean():.4f} (|dev| {mean_dev:.4f} <= 0.05), "
            f"{in_range}/50 in [0.2, 0.4], {elapsed:.0f}s")
 
 
-def test_criterion_5_long_horizon_advantage():
+def test_criterion_5_long_horizon_advantage(capsys):
     # ten simulated long-memory services, the full windowed protocol; the
     # series are lifted above zero so the log-scale pipeline applies
     t0 = time.time()
@@ -165,25 +166,25 @@ def test_criterion_5_long_horizon_advantage():
     elapsed = time.time() - t0
     ok = (origins >= 1000 and gain_positive and longer_better and beats_baselines
           and elapsed <= 1800)
-    _check(ok, "criterion 5 (long-horizon advantage)",
+    _check(capsys, ok, "criterion 5 (long-horizon advantage)",
            f"{origins} origins; arfima-over-arima mean {imp.mean:.2f}% "
            f"(h=1 {imp.per_horizon[0]:.2f}%, h=48 {imp.per_horizon[47]:.2f}%); "
            f"mean MAPEs {({m: round(v, 3) for m, v in mean_mapes.items()})}; "
            f"{elapsed / 60:.1f} min")
 
 
-def test_criterion_6_window_speed():
+def test_criterion_6_window_speed(capsys):
     s = generate(GenSpec(kind="arfima", n=96, seed=0, d=0.35, offset=50.0))
     st = transform(s, TransformSpec(lmbda=0.0))
     t0 = time.time()
     model = fit_arfima(st)
     forecast(model, 24)
     elapsed = time.time() - t0
-    _check(elapsed <= 1.0, "criterion 6 (per-window speed)",
+    _check(capsys, elapsed <= 1.0, "criterion 6 (per-window speed)",
            f"fit + 24-step forecast in {elapsed * 1000:.0f} ms (<= 1000 ms)")
 
 
-def test_criterion_7_adf_calibration():
+def test_criterion_7_adf_calibration(capsys):
     t0 = time.time()
     type1 = sum(
         adf_test(generate(GenSpec(kind="random_walk", n=2000, seed=s))).stationary_at_5pct
@@ -195,11 +196,11 @@ def test_criterion_7_adf_calibration():
     )
     elapsed = time.time() - t0
     ok = type1 <= 20 and power >= 180 and elapsed <= 120
-    _check(ok, "criterion 7 (ADF calibration)",
+    _check(capsys, ok, "criterion 7 (ADF calibration)",
            f"type-I {type1}/200 (<= 20), power {power}/200 (>= 180), {elapsed:.0f}s")
 
 
-def test_criterion_8_metric_identities():
+def test_criterion_8_metric_identities(capsys):
     checks = [
         mape([100, 200], [110, 180]) == pytest.approx(10.0),
         mape([100], [0]) == pytest.approx(100.0),
@@ -211,12 +212,12 @@ def test_criterion_8_metric_identities():
         improvement(10.0, 10.0) == 0.0,
         improvement(10.0, 20.0) == pytest.approx(-100.0),
     ]
-    _check(all(checks), "criterion 8 (metric identities)",
+    _check(capsys, all(checks), "criterion 8 (metric identities)",
            f"{sum(checks)}/{len(checks)} exact identities hold, "
            f"improvement(40, 25) = {improvement(40.0, 25.0)}")
 
 
-def test_criterion_9_interval_shape():
+def test_criterion_9_interval_shape(capsys):
     rng = np.random.default_rng(4)
     base = TimeSeries(np.cumsum(rng.standard_normal(200)) + 100.0)
     naive_fc = forecast(fit_naive(base), 24)
@@ -237,6 +238,6 @@ def test_criterion_9_interval_shape():
     coverage = hits / 5.0
     coverage_ok = 88.0 <= coverage <= 99.0
     ok = naive_ok and mean_ok and coverage_ok
-    _check(ok, "criterion 9 (interval shape)",
+    _check(capsys, ok, "criterion 9 (interval shape)",
            f"naive width ~ sqrt(h) spread {np.ptp(naive_ratio):.2e} (<= 1e-9), "
            f"mean width constant {mean_ok}, coverage {coverage:.1f}% in [88, 99]")

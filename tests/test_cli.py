@@ -21,6 +21,8 @@ _ARIMA_DOC = {
     "phi": [0.3], "theta": [], "mean": 0.0, "sigma2": 0.01, "aicc": -100.0,
     "loglik": 52.0, "n": 1024, "transform": {"lambda": 0.0, "applied": True},
 }
+# the same coefficients under a fractional d, which estimates a mean
+_ARFIMA_DOC = {**_ARIMA_DOC, "family": "arfima", "d": 0.3, "include_mean": True}
 
 
 @pytest.fixture()
@@ -210,6 +212,26 @@ class TestFitForecast:
         pytest.param(json.dumps({**_ARIMA_DOC, "q": 0.5}), id="fractional-q"),
         pytest.param(json.dumps({**_ARIMA_DOC, "n": "300"}), id="string-n"),
         pytest.param(json.dumps({**_ARIMA_DOC, "n": 2.5}), id="fractional-n"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": "0.5",
+                                                             "applied": True}}),
+                     id="string-lambda"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": 0.5,
+                                                             "applied": "false"}}),
+                     id="string-applied"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": [0.5, True]}),
+                     id="list-transform"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "mean": "1e3"}), id="string-mean"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "mean": float("inf")}), id="infinite-mean"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "sigma2": True}), id="boolean-sigma2"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "phi": ["0.5"]}), id="string-phi"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "phi": 0.5}), id="scalar-phi"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "aicc": "3"}), id="string-aicc"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "loglik": False}), id="boolean-loglik"),
+        # include_mean is derived from family and d; a document may not contradict it
+        pytest.param(json.dumps({**_ARIMA_DOC, "include_mean": True}),
+                     id="differenced-arima-with-mean"),
+        pytest.param(json.dumps({**_ARFIMA_DOC, "include_mean": False}),
+                     id="arfima-without-mean"),
     ])
     def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
         model, out = tmp_path / "bad.json", tmp_path / "fc.csv"
@@ -220,6 +242,15 @@ class TestFitForecast:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "validation"
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [_ARIMA_DOC, _ARFIMA_DOC], ids=["arima", "arfima"])
+    def test_well_formed_model_document_forecasts(self, sim_csv, tmp_path, doc):
+        # the malformed cases above differ from these in one key each
+        model, out = tmp_path / "good.json", tmp_path / "fc.csv"
+        model.write_text(json.dumps(doc))
+        assert run("forecast", "--model", str(model), "--series", str(sim_csv),
+                   "--steps", "4", "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 5
 
 
 class TestCrossval:
@@ -244,6 +275,9 @@ class TestCrossval:
         assert doc["series"][0]["analysis"]["verdict"] in ("LRD", "SRD")
         agg = doc["aggregate"]
         assert set(agg["metrics"]) == {"naive", "mean", "arima"}
+        # boxplot quantiles are written for the pooled errors only
+        assert all("boxplot" not in entry["cv"] for entry in doc["series"])
+        assert set(agg["boxplot"]) == {"naive", "mean", "arima"}
         assert len(agg["improvements"]) == 6
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "method,horizon,mae,mape,count"
@@ -268,7 +302,11 @@ class TestCrossval:
         assert doc["config"]["window"] == 96
         assert doc["config"]["methods"] == ["naive", "mean"]
 
-    @pytest.mark.parametrize("bad", [{"window": "abc"}, {"level": [0.9]}, {"methods": 5}])
+    @pytest.mark.parametrize("bad", [
+        {"window": "abc"}, {"level": [0.9]}, {"methods": 5},
+        # JSON integers and numbers only, not what casts to them
+        {"window": 96.7}, {"step": True}, {"window": "96"}, {"level": "0.9"},
+    ])
     def test_config_value_of_wrong_type_is_validation_error(self, series_dir, tmp_path,
                                                              capsys, bad):
         cfg = tmp_path / "cv.json"

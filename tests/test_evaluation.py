@@ -204,18 +204,8 @@ class TestRollingCv:
 
 
 def _report_from_matrices(cfg, label, err, pct):
-    per_method = {
-        m: MetricSet(
-            mae=np.abs(err[m]).mean(axis=0),
-            mape=np.abs(pct[m]).mean(axis=0),
-            errors=err[m],
-            pct_errors=pct[m],
-            count=err[m].shape[0],
-        )
-        for m in cfg.methods
-    }
-    return CvReport(per_method=per_method, improvements={},
-                    series_label=label, config=cfg)
+    per_method = {m: MetricSet(err[m], pct[m]) for m in cfg.methods}
+    return CvReport(per_method=per_method, series_label=label, config=cfg)
 
 
 class TestAggregation:

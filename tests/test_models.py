@@ -207,6 +207,18 @@ class TestModelSpec:
         with pytest.raises(MalformedInput):
             ModelSpec("naive", p=1)
 
+    @pytest.mark.parametrize("spec, include_mean", [
+        (ModelSpec("naive"), False),
+        (ModelSpec("mean"), True),
+        (ModelSpec("arima", d=0), True),
+        (ModelSpec("arima", d=1), False),
+        (ModelSpec("arima", d=2), False),
+        (ModelSpec("arfima", d=0.0), True),
+        (ModelSpec("arfima", d=0.3), True),
+    ], ids=["naive", "mean", "arima-d0", "arima-d1", "arima-d2", "arfima-d0", "arfima"])
+    def test_include_mean_follows_family_and_d(self, spec, include_mean):
+        assert spec.include_mean is include_mean
+
 
 class TestUnitCircleTest:
     @settings(max_examples=200, deadline=None)
@@ -531,7 +543,7 @@ class TestJointFit:
 
 def _pure_fractional_model(d, history, sigma2=1.0):
     return FittedModel(
-        spec=ModelSpec("arfima", p=0, d=d, q=0, include_mean=True),
+        spec=ModelSpec("arfima", p=0, d=d, q=0),
         phi=np.zeros(0),
         theta=np.zeros(0),
         mean=0.0,
@@ -611,10 +623,9 @@ class TestForecast:
         theta = -np.array(_refl_to_coeffs(ma_refl))
         assume(admissible(phi, theta))
         family = "arima" if isinstance(d, int) else "arfima"
-        include_mean = family == "arfima" or d == 0
         history = 3.0 + 0.1 * np.random.default_rng(seed).standard_normal(n).cumsum()
         model = FittedModel(
-            spec=ModelSpec(family, p=phi.size, d=d, q=theta.size, include_mean=include_mean),
+            spec=ModelSpec(family, p=phi.size, d=d, q=theta.size),
             phi=phi, theta=theta, mean=float(history.mean()), sigma2=0.01,
             aicc=float("nan"), loglik=float("nan"),
             transform=TransformSpec(0.0) if log_scale else None, n=n, history=history,
