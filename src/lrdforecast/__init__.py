@@ -21,6 +21,7 @@ from .errors import (
     NoAdmissibleModel,
     NonEmbeddableCovariance,
     NonPositiveValue,
+    NoScoredOrigins,
     SeriesTooShort,
     SingularRegression,
     ZeroActual,

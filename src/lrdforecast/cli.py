@@ -17,12 +17,13 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import LrdForecastError
+from .errors import LrdForecastError, NoScoredOrigins
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
 from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
@@ -473,7 +474,6 @@ def _cmd_crossval(args) -> int:
     paths = _collect_series_paths(args.inputs)
     config = _crossval_config(args)
     workers = _worker_count()
-    os.makedirs(args.out_dir, exist_ok=True)
 
     tasks = [(p, args.interval, args.fill, config) for p in paths]
     if workers > 1 and len(tasks) > 1:
@@ -483,6 +483,12 @@ def _cmd_crossval(args) -> int:
         results = [_cv_worker(t) for t in tasks]
 
     pooled = aggregate_reports([r for _, r in results])
+    if any(ms.count == 0 for ms in pooled.per_method.values()):
+        causes = Counter(reason.split(":", 1)[0] for _, _, reason in pooled.excluded_origins)
+        raise NoScoredOrigins(
+            f"all {len(pooled.excluded_origins)} origins were excluded ("
+            + ", ".join(f"{name}: {count}" for name, count in sorted(causes.items())) + ")")
+    os.makedirs(args.out_dir, exist_ok=True)
 
     doc = {
         "config": _config_doc(config),

@@ -70,6 +70,11 @@ class ConfigTooLargeForSeries(LrdForecastError):
     """Cross-validation window plus horizon exceeds the series length."""
 
 
+class NoScoredOrigins(LrdForecastError):
+    """Every cross-validation origin was excluded, so there is nothing to
+    pool."""
+
+
 class ConfigMismatch(LrdForecastError):
     """Reports built under different configurations cannot be pooled."""
 

@@ -22,10 +22,10 @@ its inverse and the other operator primitives are in lrdforecast.operators.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.stats import norm
 
 from .errors import (
@@ -40,10 +40,10 @@ from .lrd import adf_test
 from .operators import (
     admissible,
     apply_fracdiff,
-    arpoly,
     causal_convolve,
     innovations,
     integrate,
+    linear_filter,
     mapoly,
 )
 from .series import TimeSeries, TransformSpec, inv_boxcox
@@ -161,23 +161,37 @@ def _ols_ar(x: np.ndarray, p: int) -> np.ndarray:
     return coef
 
 
+_ONE = np.ones(1)
+
+
+@functools.lru_cache(maxsize=8)
+def _log_weights(n: int) -> np.ndarray:
+    """The first n coefficients (0, 1, 1/2, ..., 1/(n-1)) of -log(1-B),
+    read-only since every fit of length n shares them."""
+    w = np.concatenate(([0.0], 1.0 / np.arange(1, n)))
+    w.flags.writeable = False
+    return w
+
+
 def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
                    theta: np.ndarray) -> None:
     """Write into jac, zeros below its lag bands, the rows -dz/d(d, phi,
     theta) of the innovations z = phi(B)/theta(B) y, y = (1-B)**d x, under
     the zero presample; the d row comes first when jac has p + q + 1 rows.
     They are lagged copies of y/theta(B) for phi and of z/theta(B) for
-    theta, and for d the lagged sum sum_{j>=1} z_{t-j}/j = -log(1-B) z,
-    exact because truncated lower-triangular Toeplitz operators commute."""
-    o, n = jac.shape[0] - p - theta.size, z.size
+    theta, both filtered by one linear_filter call on their stack, and for
+    d the lagged sum sum_{j>=1} z_{t-j}/j = -log(1-B) z, exact because
+    truncated lower-triangular Toeplitz operators commute."""
+    o = jac.shape[0] - p - theta.size
     if o:
-        jac[0] = causal_convolve(np.concatenate(([0.0], 1.0 / np.arange(1, n))), z)
-    mpoly = mapoly(theta)
-    for first, series, lags in ((o, y, p), (o + p, z, theta.size)):
-        if lags:
-            u = lfilter((1.0,), mpoly, series)
-            for i in range(1, lags + 1):
-                jac[first + i - 1, i:] = u[:-i]
+        jac[0] = causal_convolve(_log_weights(z.size), z)
+    bands = [band for band in ((o, y, p), (o + p, z, theta.size)) if band[2]]
+    if not bands:
+        return
+    u = linear_filter(_ONE, mapoly(theta), np.stack([series for _, series, _ in bands]))
+    for (first, _, lags), row in zip(bands, u):
+        for i in range(1, lags + 1):
+            jac[first + i - 1, i:] = row[:-i]
 
 
 def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
@@ -189,9 +203,11 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
     cells are solved exactly by least squares. Otherwise Levenberg-Marquardt
     (Marquardt, SIAM J. Appl. Math. 11, 1963) runs from start (zero when
     None; a start with a non-finite CSS falls back to zero coefficients at
-    its d) on the Jacobian of _fill_jacobian. Each step solves
-    (J'J + lam diag(J'J)) s = J'z and is taken only if the CSS comes out
-    finite and lower; otherwise lam grows tenfold and the step is retried.
+    its d) on the Jacobian of _fill_jacobian, whose phi and theta rows
+    come from one filter call on the stacked series y and z. Each step
+    solves (J'J + lam diag(J'J)) s = J'z and is taken only if the CSS comes
+    out finite and lower; otherwise lam grows tenfold, the damped diagonal
+    is rewritten in place and the step is retried.
     A d on a bound whose gradient points outward is held for that step and
     left out of the gradient test; a fit with no free parameter left ends.
     The fit stops when max|grad CSS| <= 1e-5, when an accepted step moves
@@ -209,10 +225,13 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
 
     n, o = x.size, int(free_d)
     k = o + p + q
+    ar, ma = np.ones(p + 1), np.ones(q + 1)  # phi(B) and theta(B) at the trial point
 
     def innovations_at(params):
         y = apply_fracdiff(x, params[0]) if free_d else x
-        return y, lfilter(arpoly(params[o : o + p]), mapoly(params[o + p :]), y)
+        np.negative(params[o : o + p], out=ar[1:])
+        ma[1:] = params[o + p :]
+        return y, linear_filter(ar, ma, y)
 
     lam = _LM_LAMBDA0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,16 +249,20 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
             g = jac @ z  # -grad(CSS) / 2
             d = params[0]  # held this step when on a bound with g pointing out
             s = int(free_d and (d <= 0.0 and g[0] < 0 or d >= _ARFIMA_D_CAP and g[0] > 0))
-            g = g[s:]
+            if s:
+                g = g[s:]
             if s == k or not np.all(np.isfinite(g)) or 2.0 * np.max(np.abs(g)) <= _LM_GTOL:
                 break
-            h = (jac @ jac.T)[s:, s:]
+            h = jac @ jac.T
+            if s:
+                h = h[s:, s:]
+            hdiag = np.diag(h).copy()
             # an all-zero Jacobian row would leave the damped system singular
-            scale = np.diag(h).copy()
-            scale[~(scale > 0)] = 1.0
+            scale = np.where(hdiag > 0, hdiag, 1.0)
             while lam <= _LM_LAMBDA_MAX:
+                np.fill_diagonal(h, hdiag + lam * scale)
                 trial = params.copy()
-                trial[s:] += np.linalg.solve(h + np.diag(lam * scale), g)
+                trial[s:] += np.linalg.solve(h, g)
                 if free_d:
                     trial[0] = min(max(trial[0], 0.0), _ARFIMA_D_CAP)
                 y_new, z_new = innovations_at(trial)

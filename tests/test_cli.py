@@ -350,5 +350,22 @@ class TestCrossval:
                  "--out-dir", str(tmp_path / "o"))
         assert rc == 2
 
+    def test_every_origin_excluded_is_one_error_line(self, tmp_path, capsys):
+        # every ARIMA fit of a constant series fails, so no origin is scored
+        path = tmp_path / "const.csv"
+        path.write_text("timestamp,value\n" + "\n".join(f"{3600 * i},5.0" for i in range(200)))
+        out = tmp_path / "out"
+        rc = run("crossval", str(path), "--window", "96", "--horizon", "4", "--step", "20",
+                 "--methods", "arima", "--out-dir", str(out))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "NoScoredOrigins"
+        assert doc["message"] == "all 6 origins were excluded (SingularRegression: 6)"
+        assert not out.exists()
+
     def test_no_subcommand(self, capsys):
         assert run() == 1

@@ -36,6 +36,7 @@ from lrdforecast import (
     hurst_periodogram,
     transform,
 )
+from lrdforecast import operators
 from lrdforecast.models import _ARFIMA_D_CAP, FittedModel, _css_fit, _fill_jacobian, rebind
 from lrdforecast.operators import (
     admissible,
@@ -45,6 +46,7 @@ from lrdforecast.operators import (
     fracdiff_weights,
     innovations,
     integrate,
+    linear_filter,
     mapoly,
     roots_outside_unit_circle,
 )
@@ -272,6 +274,51 @@ class TestInnovationFilter:
                                       lfilter([1.0, -0.5], [1.0, 0.3], x))
         np.testing.assert_array_equal(integrate(x, (0.5,), (0.3,)),
                                       lfilter([1.0, 0.3], [1.0, -0.5], x))
+
+
+class TestNativeFilter:
+    """linear_filter calls scipy's private native filter behind lfilter;
+    these pin it to lfilter bit for bit, so a scipy that moves or changes
+    that entry point fails here rather than shifting fits."""
+
+    B, A = np.array([1.0, 0.3, -0.2]), np.array([1.0, -0.5, 0.25])
+
+    def _cases(self):
+        rng = np.random.default_rng(12)
+        x, stacked = rng.standard_normal(96), rng.standard_normal((2, 96))
+        return ((self.B, self.A, x), (np.ones(1), self.A, stacked),
+                (self.B, np.ones(1), x), (self.B, np.ones(1), stacked))
+
+    def test_native_entry_point_is_present(self):
+        assert operators._linear_filter is not None
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_bit_identical_to_lfilter(self, monkeypatch, native):
+        # 1-D IIR, a stacked 2 x n input (each row on its own), and FIR
+        if not native:
+            monkeypatch.setattr(operators, "_linear_filter", None)
+        for b, a, x in self._cases():
+            assert np.array_equal(linear_filter(b, a, x), lfilter(b, a, x))
+        stacked = self._cases()[1][2]
+        rows = [lfilter(np.ones(1), self.A, row) for row in stacked]
+        assert np.array_equal(linear_filter(np.ones(1), self.A, stacked), np.stack(rows))
+
+    def test_css_fit_same_bits_without_native_filter(self, monkeypatch):
+        def fits():
+            out = []
+            for seed in range(1000, 1004):
+                s = generate(GenSpec(kind="arfima", n=149, seed=seed, d=0.35, offset=50.0))
+                x = np.log(s.values[:96])
+                x = x - x.mean()
+                for p, q in ((1, 1), (2, 2), (0, 2)):
+                    for free_d in (False, True):
+                        params, css, ok = _css_fit(x, p, q, free_d=free_d)
+                        out.append((params.tobytes(), np.float64(css).tobytes(), ok))
+            return out
+
+        native = fits()
+        monkeypatch.setattr(operators, "_linear_filter", None)
+        assert fits() == native
 
 
 class TestFitArima:
