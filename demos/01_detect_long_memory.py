@@ -34,8 +34,9 @@ for name, spec in traces.items():
           f"{'stationary' if adf.stationary_at_5pct else 'non-stationary'}")
 
 print("""
-Reading the output: a median Hurst estimate above 0.5 marks long-range
-dependence (slowly decaying autocorrelation), while the ADF test checks
+Reading the output: a median Hurst estimate above 0.571, the 95% quantile
+of its white-noise null at this length, marks long-range dependence
+(slowly decaying autocorrelation), while the ADF test checks
 that the level itself is stable enough to model without differencing.
 Long-memory series can be stationary AND strongly autocorrelated, which
 is exactly the regime where the fractional forecaster earns its keep.

@@ -17,13 +17,12 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import LrdForecastError, NoScoredOrigins
+from .errors import LrdForecastError
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
 from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
@@ -483,11 +482,7 @@ def _cmd_crossval(args) -> int:
         results = [_cv_worker(t) for t in tasks]
 
     pooled = aggregate_reports([r for _, r in results])
-    if any(ms.count == 0 for ms in pooled.per_method.values()):
-        causes = Counter(reason.split(":", 1)[0] for _, _, reason in pooled.excluded_origins)
-        raise NoScoredOrigins(
-            f"all {len(pooled.excluded_origins)} origins were excluded ("
-            + ", ".join(f"{name}: {count}" for name, count in sorted(causes.items())) + ")")
+    boxplot = pooled.boxplot  # NoScoredOrigins, before --out-dir is made, if none scored
     os.makedirs(args.out_dir, exist_ok=True)
 
     doc = {
@@ -496,7 +491,7 @@ def _cmd_crossval(args) -> int:
             {"path": str(p), "analysis": a, "cv": _cv_doc(r)}
             for p, (a, r) in zip(paths, results)
         ],
-        "aggregate": {**_cv_doc(pooled), "boxplot": pooled.boxplot},
+        "aggregate": {**_cv_doc(pooled), "boxplot": boxplot},
     }
     report_path = os.path.join(args.out_dir, "report.json")
     _write_json(report_path, doc)
@@ -516,7 +511,7 @@ def _cmd_crossval(args) -> int:
     _write_table(
         os.path.join(args.out_dir, "boxplot.csv"), "method,horizon,min,q1,median,q3,max",
         ([m, i + 1, *(f"{v:.9g}" for v in q[i])]
-         for m, q in pooled.boxplot.items() for i in horizons),
+         for m, q in boxplot.items() for i in horizons),
     )
 
     _write_manifest(

@@ -8,6 +8,7 @@ horizon, and methods are compared pairwise by percentage MAPE reduction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -21,6 +22,7 @@ from .errors import (
     LrdForecastError,
     MalformedInput,
     NonPositiveValue,
+    NoScoredOrigins,
     ZeroActual,
     ZeroBaseline,
 )
@@ -61,18 +63,19 @@ class CvConfig:
 @dataclass(frozen=True)
 class MetricSet:
     """Per-origin errors of one method, origins x horizons: actual minus
-    forecast, and that in percent of the actual; MAE, MAPE and count derive from them."""
+    forecast, and that in percent of the actual; MAE, MAPE and count derive
+    from them, and MAE and MAPE are NaN at every horizon with no origin."""
 
     errors: np.ndarray
     pct_errors: np.ndarray
 
     @cached_property
     def mae(self) -> np.ndarray:
-        return np.abs(self.errors).mean(axis=0)
+        return _mean_abs(self.errors)
 
     @cached_property
     def mape(self) -> np.ndarray:
-        return np.abs(self.pct_errors).mean(axis=0)
+        return _mean_abs(self.pct_errors)
 
     @property
     def count(self) -> int:
@@ -121,9 +124,23 @@ class CvReport:
 
     @cached_property
     def boxplot(self) -> dict:
-        """Per method, horizons x (min, q1, median, q3, max) of |pct_errors|."""
+        """Per method, horizons x (min, q1, median, q3, max) of |pct_errors|.
+        Raises NoScoredOrigins, with the exclusions counted by error type,
+        when no origin was scored."""
+        if any(ms.count == 0 for ms in self.per_method.values()):
+            causes = Counter(reason.split(":", 1)[0] for _, _, reason in self.excluded_origins)
+            raise NoScoredOrigins(
+                f"all {len(self.excluded_origins)} origins were excluded ("
+                + ", ".join(f"{name}: {count}" for name, count in sorted(causes.items())) + ")")
         return {m: np.percentile(np.abs(ms.pct_errors), [0, 25, 50, 75, 100], axis=0).T
                 for m, ms in self.per_method.items()}
+
+
+def _mean_abs(a: np.ndarray) -> np.ndarray:
+    """Per-column mean of |a|, NaN for a matrix with no rows."""
+    if a.shape[0] == 0:
+        return np.full(a.shape[1], np.nan)
+    return np.abs(a).mean(axis=0)
 
 
 def mae(actual, forecast_values) -> float:

@@ -3,11 +3,11 @@
 Four families: last-value (naive), window mean, ARIMA, and fractionally
 integrated ARIMA. ARIMA picks its integer differencing order with the
 Dickey-Fuller test and its ARMA orders by the corrected AIC over a grid;
-the fractional model estimates the differencing exponent d jointly with
-the ARMA coefficients by minimising the conditional sum of squared
-innovations (CSS). With d fixed, pure AR cells are solved by least squares;
+the fractional model always estimates the differencing exponent d jointly
+with the ARMA coefficients by minimising the conditional sum of squared
+innovations (CSS). ARIMA's pure AR cells are solved by least squares;
 every other cell by Levenberg-Marquardt on the Jacobian of the innovation
-filter, with d, when free, one more parameter projected onto [0, 0.4999]
+filter, with the fractional d one more parameter projected onto [0, 0.4999]
 and a Jacobian row -log(1-B) applied to the innovations. A fit stops at a
 gradient below 1e-5, a step that moves the cell's AICc by at most 0.01, or
 200 steps, and keeps the last admissible (causal, invertible, no common
@@ -30,7 +30,6 @@ from scipy.stats import norm
 
 from .errors import (
     DegenerateSampleSize,
-    InvalidD,
     InvalidLevel,
     MalformedInput,
     NoAdmissibleModel,
@@ -335,15 +334,15 @@ def _search_orders(cell, n: int, max_p: int, max_q: int, extra: int, name: str):
     return best[1]
 
 
-def _arma_cells(x: np.ndarray, d=0.0):
-    """cell(p, q) for _search_orders on x, already differenced by d: each
-    MA cell warm-starts from the previous q in its row."""
+def _arma_cells(x: np.ndarray):
+    """cell(p, q) for _search_orders on x, already differenced, with d = 0:
+    each MA cell warm-starts from the previous q in its row."""
     prev = np.zeros(0)
 
     def cell(p, q):
         nonlocal prev
         prev, css, ok = _css_fit(x, p, q, np.append(prev, 0.0) if q else None)
-        return prev[:p], prev[p:], d, css, ok
+        return prev[:p], prev[p:], 0.0, css, ok
 
     return cell
 
@@ -459,32 +458,23 @@ def fit_arima(
     return _fitted(series, spec, mu, css / n_eff, ll, crit, phi, theta)
 
 
-def fit_arfima(
-    series: TimeSeries, max_p: int = 2, max_q: int = 2, fix_d: float | None = None
-) -> FittedModel:
+def fit_arfima(series: TimeSeries, max_p: int = 2, max_q: int = 2) -> FittedModel:
     """Fit a fractionally integrated ARMA by CSS.
 
     The series mean is estimated by the sample mean and subtracted; for each
     (p, q) up to the bounds, the differencing exponent d in [0, 0.4999] is
     fitted jointly with the ARMA coefficients by one Levenberg-Marquardt
     solve per start (see _arfima_cells). Cells compete on AICc with d and
-    the mean counted as parameters. fix_d pins the exponent instead of searching, which also
-    reduces the model to a plain ARMA when fix_d = 0.
+    the mean counted as parameters.
     """
     n = len(series)
     if n < 64:
         raise SeriesTooShort("fractional fitting needs at least 64 observations")
     if max_p < 0 or max_q < 0:
         raise MalformedInput("bad order bounds")
-    if fix_d is not None and not 0.0 <= fix_d < 0.5:
-        raise InvalidD("fix_d must lie in [0, 0.5)")
-    w = series.values
-    mu = float(w.mean())
-    x0 = w - mu
-    cell = (_arfima_cells(x0) if fix_d is None
-            else _arma_cells(apply_fracdiff(x0, fix_d), float(fix_d)))
+    mu = float(series.values.mean())
     p, q, phi, theta, d_hat, css, ll, crit = _search_orders(
-        cell, n, max_p, max_q, 2, "fractional"
+        _arfima_cells(series.values - mu), n, max_p, max_q, 2, "fractional"
     )
     spec = ModelSpec(ARFIMA, p=p, d=d_hat, q=q)
     return _fitted(series, spec, mu, css / n, ll, crit, phi, theta)

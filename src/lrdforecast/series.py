@@ -80,8 +80,9 @@ class AcfResult:
     gamma0: float
 
 
-def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
-    """Read a `timestamp,value` CSV into a gap-free TimeSeries.
+def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
+    """Read a `timestamp,value` CSV into a gap-free TimeSeries labelled
+    with the file stem.
 
     Parameters
     ----------
@@ -95,8 +96,6 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
     fill : {None, "locf"}
         Gap policy. None rejects any gap; "locf" fills gaps that span a
         whole number of intervals by carrying the last observation forward.
-    label : str, optional
-        Series label; defaults to the file stem.
 
     Raises
     ------
@@ -171,8 +170,7 @@ def ingest_csv(path, interval_hint=None, fill=None, label=None) -> TimeSeries:
             values.extend([values[-1]] * (k - 1))
         values.append(vs[i])
 
-    if label is None:
-        label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return TimeSeries(np.asarray(values), start_time=float(ts[0]), interval=interval, label=label)
 
 

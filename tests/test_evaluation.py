@@ -1,6 +1,8 @@
 """Accuracy metrics, rolling-origin mechanics, pairing guarantees, and
 report pooling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lrdforecast import (
     MalformedInput,
     MetricSet,
     NonPositiveValue,
+    NoScoredOrigins,
     TimeSeries,
     TransformSpec,
     ZeroActual,
@@ -171,6 +174,23 @@ class TestRollingCv:
         assert len(rep.excluded_origins) == 1
         for ms in rep.per_method.values():
             assert ms.count == target_count - 1
+
+    def test_every_origin_excluded(self):
+        # every ARIMA fit of a constant series fails: the report scores no
+        # origin, its MAE and MAPE are NaN without a warning, and its
+        # boxplot is one typed error that counts the exclusions by type
+        cfg = CvConfig(window=96, max_horizon=4, step=20, methods=("arima",))
+        rep = rolling_cv(TimeSeries(np.full(200, 5.0)), cfg)
+        ms = rep.per_method["arima"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ms.count == 0
+            assert ms.mae.shape == ms.mape.shape == (4,)
+            assert np.isnan(ms.mae).all() and np.isnan(ms.mape).all()
+            assert rep.improvements == {}
+        with pytest.raises(NoScoredOrigins) as info:
+            rep.boxplot
+        assert str(info.value) == "all 6 origins were excluded (SingularRegression: 6)"
 
     def test_programming_error_propagates(self, monkeypatch):
         # only the package's own errors and singular linear algebra mark an

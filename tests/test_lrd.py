@@ -22,7 +22,7 @@ from lrdforecast import (
     hurst_rescaled_range,
     seasonal_peak_diagnostic,
 )
-from lrdforecast.lrd import DF_CRITICAL_VALUES
+from lrdforecast.lrd import DF_CRITICAL_VALUES, MEDIAN_H_CRITICAL_VALUES, _median_h_critical_value
 
 
 def _wn(n, seed):
@@ -112,12 +112,19 @@ class TestPeriodogram:
         assert abs(est.h - 0.5) <= 0.1
 
     def test_band_size(self):
-        est = hurst_periodogram(_wn(1000, 0), frequency_fraction=0.10)
+        est = hurst_periodogram(_wn(1000, 0))
         assert est.points.shape[0] == 50
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             hurst_periodogram(TimeSeries(np.arange(1.0, 33.0)))
+
+    def test_band_boundary(self):
+        # the band keeps k <= 0.05 n: fewer than 4 frequencies up to n = 79
+        for n in range(64, 80):
+            with pytest.raises(SeriesTooShort, match="4 Fourier frequencies"):
+                hurst_periodogram(_wn(n, n))
+        assert hurst_periodogram(_wn(80, 80)).points.shape[0] == 4
 
 
 class TestEstimatorRecoveryLight:
@@ -178,6 +185,13 @@ class TestAdf:
         with pytest.raises(SeriesTooShort):
             adf_test(TimeSeries(np.arange(1.0, 21.0)))
 
+    def test_minimum_length(self):
+        # at n = 25 Schwert's rule gives 8 lags, leaving 16 - 10 = 6
+        # degrees of freedom
+        res = adf_test(_wn(25, 0))
+        assert res.lags_used == 8
+        assert np.isfinite(res.statistic)
+
     def test_critical_values_monte_carlo(self):
         # independent oracle: closed-form tau of the lag-0 regression with
         # intercept, vectorised over 50,000 simulated unit-root nulls; the
@@ -215,9 +229,42 @@ class TestClassification:
         assert cls.verdict == "LRD"
 
     def test_verdict_consistent_with_median(self):
-        for seed in range(5):
-            cls = classify_memory(_wn(1024, seed))
-            assert (cls.verdict == "LRD") == (cls.h_median > 0.5)
+        # LRD exactly when the median exceeds the white-noise critical value
+        # at the series' length, on rows, between rows and beyond the table;
+        # white noise with a median above 1/2 stays SRD
+        between = 0
+        for n in (300, 1024, 10000):
+            crit = _median_h_critical_value(n)
+            for seed in range(3):
+                for s in (_wn(n, seed), generate(GenSpec(kind="arfima", n=n, seed=seed, d=0.3))):
+                    cls = classify_memory(s)
+                    assert (cls.verdict == "LRD") == (cls.h_median > crit)
+                    between += 0.5 < cls.h_median <= crit
+        assert between >= 3
+
+    def test_critical_value_interpolation(self):
+        table = MEDIAN_H_CRITICAL_VALUES
+        sizes = sorted(table)
+        assert [table[n] for n in sizes] == sorted(table.values(), reverse=True)
+        for n in sizes:
+            assert _median_h_critical_value(n) == table[n]
+        for a, b in zip(sizes, sizes[1:]):  # halfway in log n
+            assert _median_h_critical_value(np.sqrt(a * b)) == pytest.approx(
+                (table[a] + table[b]) / 2, abs=1e-12)
+        assert _median_h_critical_value(10**6) == table[sizes[-1]]
+
+    @pytest.mark.filterwarnings("ignore::lrdforecast.ClampWarning")
+    def test_critical_values_monte_carlo(self):
+        # the table's size on fresh white-noise seeds, disjoint from its
+        # calibration seeds (10000-11999) and the acceptance suite's (0-49),
+        # on rows and between them (724 ~ 512 * sqrt 2): 1,200 series whose
+        # LRD share must sit near the nominal 5% (binomial sd 0.0063)
+        shares = []
+        for n in (256, 724, 2048, 4096):
+            shares.append(np.mean([classify_memory(_wn(n, s)).verdict == "LRD"
+                                   for s in range(30000, 30300)]))
+        assert all(share <= 0.10 for share in shares), shares
+        assert np.mean(shares) == pytest.approx(0.05, abs=0.02), shares
 
     def test_white_noise_median_near_half(self):
         meds = [classify_memory(_wn(4096, s)).h_median for s in range(10)]

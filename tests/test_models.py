@@ -33,7 +33,6 @@ from lrdforecast import (
     frac_diff_coeffs,
     frac_difference,
     generate,
-    hurst_periodogram,
     transform,
 )
 from lrdforecast import operators
@@ -464,16 +463,6 @@ class TestFitArfima:
                 hits += 1
         assert hits >= 16
 
-    def test_d_zero_reduces_to_arima(self):
-        # pinning d at 0 must reproduce the plain ARMA fit exactly: same
-        # innovations, same coefficients
-        s = generate(GenSpec(kind="arma", n=1000, seed=4, phi=(0.5,), offset=20.0))
-        frac = fit_arfima(s, max_p=1, max_q=0, fix_d=0.0)
-        plain = fit_arima(s, max_p=1, max_q=0, max_d=0)
-        assert frac.spec.d == 0.0
-        np.testing.assert_allclose(frac.phi, plain.phi, atol=1e-4)
-        np.testing.assert_allclose(frac.residuals, plain.residuals, atol=1e-10)
-
     def test_window_speed(self):
         # fit plus 24-step forecast on a 96-observation window in under 1 s
         import time
@@ -507,11 +496,13 @@ class TestFitArfima:
 
 def _whittle_d(series):
     """Whittle estimate of d for ARFIMA(0, d, 0) (Fox & Taqqu, Ann. Statist.
-    14, 1986) on the periodogram hurst_periodogram evaluates, over its
+    14, 1986) on the raw periodogram of the mean-subtracted series, over its
     Fourier frequencies up to pi/2: the spectral shape |2 sin(lam/2)|**(-2d)
     is exact on any band, and the scale is profiled out."""
-    pts = hurst_periodogram(series, frequency_fraction=0.5).points
-    lam, pgram = pts[:, 0], pts[:, 1]
+    x = series.values - series.values.mean()
+    n, kmax = x.size, x.size // 4
+    pgram = np.abs(np.fft.rfft(x)[1 : kmax + 1]) ** 2 / (2.0 * np.pi * n)
+    lam = 2.0 * np.pi * np.arange(1, kmax + 1) / n
 
     def objective(d):
         g = np.abs(2.0 * np.sin(lam / 2.0)) ** (-2.0 * d)
@@ -562,19 +553,6 @@ class TestJointFit:
         walk = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(500)))
         assert fit_arfima(walk, max_p=0, max_q=0).spec.d == _ARFIMA_D_CAP
         assert 0.0 <= fit_arfima(walk).spec.d <= _ARFIMA_D_CAP
-
-    def test_fix_d_has_no_d_row(self, monkeypatch):
-        calls = []
-
-        def spy(x, p, q, start=None, free_d=False):
-            calls.append(free_d)
-            return _css_fit(x, p, q, start, free_d)
-
-        monkeypatch.setattr("lrdforecast.models._css_fit", spy)
-        s = generate(GenSpec(kind="arfima", n=300, seed=8, d=0.3))
-        model = fit_arfima(s, max_p=1, max_q=1, fix_d=0.3)
-        assert model.spec.d == 0.3
-        assert calls and not any(calls)
 
     def test_d_agrees_with_whittle_oracle(self):
         # At n = 8192 the CSS d has standard deviation sqrt(6/(pi**2 n)) =
