@@ -38,8 +38,8 @@ from .errors import (
 from .lrd import adf_test
 from .operators import (
     admissible,
-    apply_fracdiff,
-    causal_convolve,
+    causal_convolver,
+    fracdiff_of,
     innovations,
     integrate,
     linear_filter,
@@ -164,12 +164,11 @@ _ONE = np.ones(1)
 
 
 @functools.lru_cache(maxsize=8)
-def _log_weights(n: int) -> np.ndarray:
-    """The first n coefficients (0, 1, 1/2, ..., 1/(n-1)) of -log(1-B),
-    read-only since every fit of length n shares them."""
-    w = np.concatenate(([0.0], 1.0 / np.arange(1, n)))
-    w.flags.writeable = False
-    return w
+def _neg_log(n: int):
+    """z -> -log(1-B) z on n points: the causal convolution by the first n
+    coefficients (0, 1, 1/2, ..., 1/(n-1)), which every fit of length n
+    shares, so their spectrum is kept (see causal_convolver)."""
+    return causal_convolver(np.concatenate(([0.0], 1.0 / np.arange(1, n))))
 
 
 def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
@@ -183,7 +182,7 @@ def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
     truncated lower-triangular Toeplitz operators commute."""
     o = jac.shape[0] - p - theta.size
     if o:
-        jac[0] = causal_convolve(_log_weights(z.size), z)
+        jac[0] = _neg_log(z.size)(z)
     bands = [band for band in ((o, y, p), (o + p, z, theta.size)) if band[2]]
     if not bands:
         return
@@ -193,7 +192,8 @@ def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
             jac[first + i - 1, i:] = row[:-i]
 
 
-def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
+def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False,
+             fracdiff=None):
     """Minimise the conditional sum of squared innovations (CSS) of
     z = phi(B)(1-B)**d/theta(B) x.
 
@@ -214,8 +214,10 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
     200 steps, or when no damping gives a lower CSS. The steps are not
     constrained to the causal and invertible region, so the fit returns the
     last admissible point of its path, which is also its lowest-CSS
-    admissible one (the final point when none is). Returns (params, css,
-    admissible).
+    admissible one (the final point when none is). With free_d, fracdiff
+    is fracdiff_of(x), which the cells of one fit share so that x is
+    transformed once per fit; it is built here when None. Returns (params,
+    css, admissible).
     """
     if not free_d and q == 0:
         phi = _ols_ar(x, p)
@@ -225,9 +227,11 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False):
     n, o = x.size, int(free_d)
     k = o + p + q
     ar, ma = np.ones(p + 1), np.ones(q + 1)  # phi(B) and theta(B) at the trial point
+    if free_d and fracdiff is None:
+        fracdiff = fracdiff_of(x)
 
     def innovations_at(params):
-        y = apply_fracdiff(x, params[0]) if free_d else x
+        y = fracdiff(params[0]) if free_d else x
         np.negative(params[o : o + p], out=ar[1:])
         ma[1:] = params[o + p :]
         return y, linear_filter(ar, ma, y)
@@ -354,9 +358,11 @@ def _arfima_cells(x: np.ndarray):
     its best grid d starts every cell. A pure AR cell starts from the
     least-squares phi at that d. An MA cell runs from two starts, the
     previous q in its row with a zero appended and zero coefficients at the
-    start d, and keeps the admissible fit with the lower CSS.
+    start d, and keeps the admissible fit with the lower CSS. The grid and
+    every cell share one fracdiff_of(x), so x is transformed once.
     """
-    y0, d0 = min(((apply_fracdiff(x, d), d) for d in _ARFIMA_D_GRID),
+    fracdiff = fracdiff_of(x)
+    y0, d0 = min(((fracdiff(d), d) for d in _ARFIMA_D_GRID),
                  key=lambda yd: float(yd[0] @ yd[0]))
     prev = np.zeros(0)
 
@@ -366,7 +372,8 @@ def _arfima_cells(x: np.ndarray):
             starts = (np.append(prev, 0.0), np.concatenate(([d0], np.zeros(p + q))))
         else:
             starts = (np.concatenate(([d0], _ols_ar(y0, p))),)
-        prev, css, ok = min((_css_fit(x, p, q, start, free_d=True) for start in starts),
+        prev, css, ok = min((_css_fit(x, p, q, start, True, fracdiff)
+                              for start in starts),
                             key=lambda fit: (not fit[2], fit[1]))
         return prev[1 : p + 1], prev[p + 1 :], float(prev[0]), css, ok
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -23,6 +24,10 @@ from .errors import (
 )
 
 CSV_HEADER = ("timestamp", "value")
+# records read and converted at a time: few enough that their row lists do
+# not on their own reach the cyclic collector's default first-generation
+# threshold (700), which would make each chunk trigger a collection
+_CHUNK_RECORDS = 256
 
 
 @dataclass(frozen=True)
@@ -80,9 +85,59 @@ class AcfResult:
     gamma0: float
 
 
+def _is_blank(row: list) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _columns(chunk: list):
+    """The 2 x m float array of timestamps and values of the m data records
+    in chunk, or None when a record is neither blank nor two finite numbers."""
+    rows = [row for row in chunk if len(row) == 2]
+    if len(rows) < len(chunk) and not all(_is_blank(row) for row in chunk if len(row) != 2):
+        return None
+    try:
+        # every timestamp, then every value
+        cols = np.fromiter(map(float, itertools.chain(*zip(*rows))), float, 2 * len(rows))
+    except ValueError:
+        return None
+    cols = cols.reshape(2, len(rows))
+    return cols if np.isfinite(cols).all() else None
+
+
+def _bad_record(path, chunk: list, lineno: int) -> MalformedInput:
+    """The error of the first record in chunk, numbered from lineno, that is
+    neither blank nor two finite numbers; called only once one is known to
+    exist."""
+    for lineno, row in enumerate(chunk, start=lineno):
+        if _is_blank(row):
+            continue
+        if len(row) != 2:
+            return MalformedInput(f"{path}:{lineno}: expected 2 columns")
+        try:
+            t, v = float(row[0]), float(row[1])
+        except ValueError as exc:
+            return MalformedInput(f"{path}:{lineno}: {exc}")
+        if not math.isfinite(t):
+            return MalformedInput(f"{path}:{lineno}: non-finite timestamp {row[0]!r}")
+        if not math.isfinite(v):
+            return MalformedInput(f"{path}:{lineno}: non-finite value {row[1]!r}")
+    raise AssertionError("no bad record")
+
+
+def _fill_too_long(path, total: int, ts: np.ndarray, gaps: np.ndarray, limit: str):
+    at = float(ts[int(np.argmax(gaps)) + 1])
+    return IrregularGrid(f"{path}: filling the gaps takes {total} points, more than "
+                         f"{limit} (largest gap at t={at})")
+
+
 def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
     """Read a `timestamp,value` CSV into a gap-free TimeSeries labelled
     with the file stem.
+
+    The rows are split by csv.reader and their fields converted by
+    float(), and the checks and the gap fill run on whole columns. An error
+    names the first offending row or gap in file order, by its record
+    number (the header is line 1).
 
     Parameters
     ----------
@@ -96,6 +151,9 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
     fill : {None, "locf"}
         Gap policy. None rejects any gap; "locf" fills gaps that span a
         whole number of intervals by carrying the last observation forward.
+        A fill whose total length an index cannot count, or for which
+        memory cannot be allocated, is an IrregularGrid naming that length
+        and the timestamp that ends the largest gap.
 
     Raises
     ------
@@ -103,7 +161,6 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
     """
     if fill not in (None, "locf"):
         raise MalformedInput(f"unknown fill policy {fill!r}")
-    ts, vs = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -111,28 +168,24 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
             raise EmptyInput(f"{path}: empty file")
         if tuple(h.strip().lower() for h in header) != CSV_HEADER:
             raise MalformedInput(f"{path}: expected header 'timestamp,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise MalformedInput(f"{path}:{lineno}: expected 2 columns")
-            try:
-                t, v = float(row[0]), float(row[1])
-            except ValueError as exc:
-                raise MalformedInput(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(t):
-                raise MalformedInput(f"{path}:{lineno}: non-finite timestamp {row[0]!r}")
-            if not math.isfinite(v):
-                raise MalformedInput(f"{path}:{lineno}: non-finite value {row[1]!r}")
-            ts.append(t)
-            vs.append(v)
-    if not ts:
+        # records are read and converted in chunks, so that their text is
+        # never all held at once; record numbers start after the header
+        parts, lineno = [np.empty((2, 0))], 2
+        for chunk in iter(lambda: list(itertools.islice(reader, _CHUNK_RECORDS)), []):
+            cols = _columns(chunk)
+            if cols is None:
+                raise _bad_record(path, chunk, lineno)
+            parts.append(cols)
+            lineno += len(chunk)
+    ts, vs = np.concatenate(parts, axis=1)
+    if not ts.size:
         raise EmptyInput(f"{path}: no data rows")
-    ts = np.asarray(ts)
-    vs = np.asarray(vs)
     if np.any(vs <= 0):
         raise NonPositiveValue(f"{path}: response times must be positive")
-    if ts.size > 1 and np.any(np.diff(ts) <= 0):
+    # as Python floats would: a difference or quotient that overflows is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(ts)
+    if np.any(gaps <= 0):
         raise IrregularGrid(f"{path}: timestamps must be strictly increasing")
 
     if interval_hint is not None:
@@ -140,7 +193,7 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
         if not 0.0 < interval < math.inf:
             raise MalformedInput("interval_hint must be finite and positive")
     elif ts.size > 1:
-        diffs, counts = np.unique(np.diff(ts), return_counts=True)
+        diffs, counts = np.unique(gaps, return_counts=True)
         interval = float(diffs[np.argmax(counts)])
     else:
         interval = 1.0
@@ -148,30 +201,35 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
     # a gap may miss a whole number of intervals by 1e-9 of itself, or by
     # the rounding error of timestamps as large as these
     rel_tol = 1e-9 + 4.0 * sys.float_info.epsilon * float(np.abs(ts).max()) / interval
-    # Python floats, on which a gap / interval that overflows is inf, not a warning
-    stamps = ts.tolist()
-    values = [vs[0]]
-    for i in range(1, len(stamps)):
-        gap = stamps[i] - stamps[i - 1]
-        steps = gap / interval
-        if not steps < sys.maxsize:  # inf too; a fill must fit in an index
-            raise IrregularGrid(f"{path}: gap of {gap}s at t={stamps[i]} spans too "
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = gaps / interval
+        k = np.rint(steps)  # half to even, as round()
+        too_many = ~(steps < sys.maxsize)  # inf too; a fill must fit in an index
+        not_multiple = (k < 1) | (np.abs(steps - k) > rel_tol * np.maximum(1.0, np.abs(steps)))
+    no_policy = (k > 1) & (fill != "locf")
+    bad = too_many | not_multiple | no_policy
+    if bad.any():
+        i = int(np.argmax(bad))
+        gap, at = float(gaps[i]), float(ts[i + 1])
+        if too_many[i]:
+            raise IrregularGrid(f"{path}: gap of {gap}s at t={at} spans too "
                                 f"many intervals of {interval}s to fill")
-        k = int(round(steps))
-        if k < 1 or abs(steps - k) > rel_tol * max(1.0, abs(steps)):
-            raise IrregularGrid(
-                f"{path}: gap of {gap}s at t={stamps[i]} is not a multiple of {interval}s"
-            )
-        if k > 1:
-            if fill != "locf":
-                raise IrregularGrid(
-                    f"{path}: gap of {k} intervals at t={stamps[i]} (no fill policy)"
-                )
-            values.extend([values[-1]] * (k - 1))
-        values.append(vs[i])
+        if not_multiple[i]:
+            raise IrregularGrid(f"{path}: gap of {gap}s at t={at} is not a multiple of {interval}s")
+        raise IrregularGrid(f"{path}: gap of {int(k[i])} intervals at t={at} (no fill policy)")
+
+    # each observation is carried over the intervals up to the next one
+    repeats = np.append(k, 1.0).astype(np.int64)
+    total = sum(repeats.tolist())  # exact: each count fits an index, their sum may not
+    if total > sys.maxsize:
+        raise _fill_too_long(path, total, ts, gaps, "an index can count")
+    try:
+        values = np.repeat(vs, repeats)
+    except MemoryError:
+        raise _fill_too_long(path, total, ts, gaps, "memory can hold") from None
 
     label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return TimeSeries(np.asarray(values), start_time=float(ts[0]), interval=interval, label=label)
+    return TimeSeries(values, start_time=float(ts[0]), interval=interval, label=label)
 
 
 def write_csv(series: TimeSeries, path) -> None:

@@ -131,6 +131,18 @@ class TestAnalyze:
         assert json.loads(lines[0])["error"] == error
         assert not report.exists()
 
+    def test_gap_too_large_to_fill_is_one_error_line(self, tmp_path, capsys):
+        # about 1e12 points once filled, which an allocation refuses at once
+        path, report = tmp_path / "hugegap.csv", tmp_path / "r.json"
+        path.write_text("timestamp,value\n0,1.5\n3600,1.6\n3600000000000000,1.7\n")
+        rc = run("analyze", str(path), "--fill", "locf", "--interval", "3600",
+                 "--out", str(report))
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "IrregularGrid"
+        assert not report.exists()
+
     def test_byte_identical_reruns(self, sim_csv, tmp_path):
         a, b = tmp_path / "r1.json", tmp_path / "r2.json"
         assert run("analyze", str(sim_csv), "--out", str(a)) == 0

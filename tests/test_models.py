@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
-from scipy.signal import lfilter
+from scipy.signal import fftconvolve, lfilter
 from scipy.special import gamma as gamma_fn
 
 from lrdforecast import (
@@ -35,12 +35,14 @@ from lrdforecast import (
     generate,
     transform,
 )
-from lrdforecast import operators
+from lrdforecast import models, operators
 from lrdforecast.models import _ARFIMA_D_CAP, FittedModel, _css_fit, _fill_jacobian, rebind
 from lrdforecast.operators import (
     admissible,
     apply_fracdiff,
     arpoly,
+    causal_convolve,
+    causal_convolver,
     causal_invertible,
     fracdiff_weights,
     innovations,
@@ -318,6 +320,54 @@ class TestNativeFilter:
         native = fits()
         monkeypatch.setattr(operators, "_linear_filter", None)
         assert fits() == native
+
+
+class TestKeptSpectrum:
+    """causal_convolver holds one operand, keeping its spectrum above 512
+    points; these pin it bit for bit to fftconvolve, whose spectra product
+    it must keep in argument order, and to np.convolve at or below 512."""
+
+    @staticmethod
+    def _operands(n):
+        rng = np.random.default_rng(n)
+        return fracdiff_weights(0.3, n), rng.standard_normal(n), rng.standard_normal(n)
+
+    @pytest.mark.parametrize("n", [513, 1000, 4097, 8192])
+    def test_fft_path_is_fftconvolve(self, n):
+        w, x, x2 = self._operands(n)
+        held_w, held_x = causal_convolver(w), causal_convolver(x, first=False)
+        for other in (x, x2):  # a held spectrum serves every call
+            assert np.array_equal(held_w(other), fftconvolve(w, other)[:n])
+            assert np.array_equal(causal_convolve(w, other), fftconvolve(w, other)[:n])
+        assert np.array_equal(held_x(w), fftconvolve(w, x)[:n])
+        assert np.array_equal(held_x(x2), fftconvolve(x2, x)[:n])
+
+    @pytest.mark.parametrize("n", [1, 96, 512])
+    def test_direct_path_is_np_convolve(self, n):
+        w, x, _ = self._operands(n)
+        assert np.array_equal(causal_convolver(w)(x), np.convolve(w, x)[:n])
+        assert np.array_equal(causal_convolver(x, first=False)(w), np.convolve(w, x)[:n])
+        assert np.array_equal(causal_convolve(w, x), np.convolve(w, x)[:n])
+
+    def test_free_d_fit_same_bits_as_per_call_fftconvolve(self, monkeypatch):
+        s = generate(GenSpec(kind="arfima", n=8192, seed=1002, d=0.35, offset=50.0))
+        x = np.log(s.values)
+        x = x - x.mean()
+
+        def fits():
+            out = []
+            for p, q in ((0, 0), (1, 0), (1, 1)):
+                params, css, ok = _css_fit(x, p, q, free_d=True)
+                out.append((params.tobytes(), np.float64(css).tobytes(), ok))
+            return out
+
+        kept = fits()
+        # every convolution transforms both operands, as before spectra were kept
+        monkeypatch.setattr(models, "fracdiff_of", lambda x: lambda d: fftconvolve(
+            fracdiff_weights(d, x.size), x)[: x.size])
+        monkeypatch.setattr(models, "_neg_log", lambda n: lambda z: fftconvolve(
+            np.concatenate(([0.0], 1.0 / np.arange(1, n))), z)[:n])
+        assert fits() == kept
 
 
 class TestFitArima:

@@ -1,12 +1,17 @@
 """Container, ingestion, transform, differencing, and ACF behavior."""
 
+import csv
+import math
+import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lrdforecast import series
 from lrdforecast import (
     AcfResult,
     EmptyInput,
@@ -31,6 +36,127 @@ def _write(tmp_path, rows, header="timestamp,value"):
     path = tmp_path / "series.csv"
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
     return path
+
+
+def _ingest_by_rows(path, interval_hint=None, fill=None):
+    """ingest_csv as a loop over rows and gaps, which the column-wise one
+    replaced: the reference for its series and its errors."""
+    if fill not in (None, "locf"):
+        raise MalformedInput(f"unknown fill policy {fill!r}")
+    ts, vs = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyInput(f"{path}: empty file")
+        if tuple(h.strip().lower() for h in header) != ("timestamp", "value"):
+            raise MalformedInput(f"{path}: expected header 'timestamp,value'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 2:
+                raise MalformedInput(f"{path}:{lineno}: expected 2 columns")
+            try:
+                t, v = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise MalformedInput(f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(t):
+                raise MalformedInput(f"{path}:{lineno}: non-finite timestamp {row[0]!r}")
+            if not math.isfinite(v):
+                raise MalformedInput(f"{path}:{lineno}: non-finite value {row[1]!r}")
+            ts.append(t)
+            vs.append(v)
+    if not ts:
+        raise EmptyInput(f"{path}: no data rows")
+    ts = np.asarray(ts)
+    vs = np.asarray(vs)
+    if np.any(vs <= 0):
+        raise NonPositiveValue(f"{path}: response times must be positive")
+    if ts.size > 1 and np.any(np.diff(ts) <= 0):
+        raise IrregularGrid(f"{path}: timestamps must be strictly increasing")
+    if interval_hint is not None:
+        interval = float(interval_hint)
+        if not 0.0 < interval < math.inf:
+            raise MalformedInput("interval_hint must be finite and positive")
+    elif ts.size > 1:
+        diffs, counts = np.unique(np.diff(ts), return_counts=True)
+        interval = float(diffs[np.argmax(counts)])
+    else:
+        interval = 1.0
+    rel_tol = 1e-9 + 4.0 * sys.float_info.epsilon * float(np.abs(ts).max()) / interval
+    stamps = ts.tolist()
+    values = [vs[0]]
+    for i in range(1, len(stamps)):
+        gap = stamps[i] - stamps[i - 1]
+        steps = gap / interval
+        if not steps < sys.maxsize:
+            raise IrregularGrid(f"{path}: gap of {gap}s at t={stamps[i]} spans too "
+                                f"many intervals of {interval}s to fill")
+        k = int(round(steps))
+        if k < 1 or abs(steps - k) > rel_tol * max(1.0, abs(steps)):
+            raise IrregularGrid(
+                f"{path}: gap of {gap}s at t={stamps[i]} is not a multiple of {interval}s"
+            )
+        if k > 1:
+            if fill != "locf":
+                raise IrregularGrid(
+                    f"{path}: gap of {k} intervals at t={stamps[i]} (no fill policy)"
+                )
+            values.extend([values[-1]] * (k - 1))
+        values.append(vs[i])
+    label = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+    return TimeSeries(np.asarray(values), start_time=float(ts[0]), interval=interval, label=label)
+
+
+def _outcome(read, path, **kw):
+    try:
+        s = read(path, **kw)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return s.values.tobytes(), s.start_time, s.interval, s.label
+
+
+def _mostly(good, bad, odds=40):
+    """good, or bad once in about odds draws."""
+    return st.integers(0, odds - 1).flatmap(lambda i: bad if i == 0 else good)
+
+
+# a step between rows as a multiple of the grid interval: whole gaps of up to
+# four intervals and fractional ones, and rarely none, backwards, or one too
+# many to count
+_STEPS = _mostly(st.sampled_from([1.0] * 6 + [2.0, 3.0, 4.0, 1.5, 2.0000000001]),
+                 st.sampled_from([0.0, -1.0, 1e30]))
+_VALUES = _mostly(st.one_of(st.floats(1e-3, 1e4).map(repr), st.just("1_000")),
+                  st.sampled_from(["0", "-2.5", "nan", "inf", "-inf", "abc", "", "1e400"]))
+_CELLS = st.sampled_from(["{}", " {} ", '"{}"', "{:_}"])
+
+
+@st.composite
+def _csv_text(draw):
+    interval = draw(st.sampled_from([1.0, 0.1, 60.0, 3600.0]))
+    t = draw(st.sampled_from([0.0, 1.5, 1_700_000_000.0, -7200.0]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(_mostly(st.sampled_from(["row"] * 6 + ["blank", "space"]),
+                            st.sampled_from(["extra", "short"])))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append("  \t")
+        elif kind == "short":
+            lines.append(draw(_VALUES))
+        else:
+            stamp = int(t) if t.is_integer() else t
+            cell = draw(_CELLS)
+            if cell == "{:_}" and not isinstance(stamp, int):
+                cell = "{}"
+            row = [cell.format(stamp), draw(_CELLS).replace(":_", "").format(draw(_VALUES))]
+            if kind == "extra":
+                row.append(draw(_VALUES))
+            lines.append(",".join(row))
+            t += draw(_STEPS) * interval
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "timestamp,value" + newline + newline.join(lines) + newline
 
 
 class TestIngest:
@@ -159,6 +285,43 @@ class TestIngest:
         path = _write(tmp_path, ["0,1", row, "2,3"])
         with pytest.raises(MalformedInput, match=rf"series\.csv:3: non-finite {what}"):
             ingest_csv(path)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_csv_text(), hint=st.sampled_from([None, 1.0, 0.1, 60.0, 3600.0]),
+           fill=st.sampled_from([None, "locf"]), chunk=st.sampled_from([1, 2, 5, 1024]))
+    @example(text="timestamp,value\n0,1\n1,2\n\n3,nan\n4,x\n", hint=None, fill=None,
+             chunk=1024)
+    @example(text='timestamp,value\r\n"0",1_000\r\n 2 ,2\r\n3,3,3\r\n', hint=1.0,
+             fill="locf", chunk=2)
+    def test_matches_row_loop_reference(self, tmp_path, text, hint, fill, chunk):
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode())
+        # small chunks put record boundaries and errors in later chunks
+        with mock.patch.object(series, "_CHUNK_RECORDS", chunk):
+            got = _outcome(ingest_csv, path, interval_hint=hint, fill=fill)
+        assert got == _outcome(_ingest_by_rows, path, interval_hint=hint, fill=fill)
+
+    def test_first_bad_gap_in_file_order_and_check_order(self, tmp_path):
+        # the third row's gap is both fractional and unfilled, the fourth's
+        # unfilled: the earlier gap is reported, by its first failing check
+        path = _write(tmp_path, ["0,1", "1,2", "3.5,3", "5.5,4"])
+        with pytest.raises(IrregularGrid, match=r"gap of 2\.5s at t=3\.5 is not a multiple"):
+            ingest_csv(path, interval_hint=1.0)
+
+    def test_fill_longer_than_an_index_is_irregular(self, tmp_path):
+        # each gap counts under sys.maxsize intervals, their sum does not
+        path = _write(tmp_path, ["0,1", "6000000000000000000,2", "12000000000000000000,3"])
+        with pytest.raises(IrregularGrid, match=r"takes 12000000000000000001 points, more "
+                                                r"than an index can count \(largest gap"):
+            ingest_csv(path, interval_hint=1.0, fill="locf")
+
+    def test_fill_too_large_to_allocate_is_irregular(self, tmp_path):
+        # about 1e12 points (8 TB), which an allocation refuses at once
+        path = _write(tmp_path, ["0,1.5", "3600,1.6", "3600000000000000,1.7"])
+        with pytest.raises(IrregularGrid, match=r"takes 1000000000001 points, more than memory "
+                                                r"can hold \(largest gap at t=3600000000000000\.0\)"):
+            ingest_csv(path, interval_hint=3600, fill="locf")
 
 
 class TestContainer:
