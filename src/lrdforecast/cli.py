@@ -174,10 +174,11 @@ def _analysis_doc(series: TimeSeries) -> dict:
     }
 
 
-def _transform_doc(spec: TransformSpec | None):
+def _transform_doc(spec: TransformSpec | None, applied: bool):
+    # "applied" is a format constant: true for a model, false for a config
     if spec is None:
         return None
-    return {"lambda": spec.lmbda, "applied": spec.applied}
+    return {"lambda": spec.lmbda, "applied": applied}
 
 
 def _exactly(kind):
@@ -216,8 +217,9 @@ def _transform_from_doc(doc):
         return None
     if type(doc) is not dict:
         raise TypeError(f"expected null or an object, got {doc!r}")
-    return TransformSpec(lmbda=_real(doc["lambda"]),
-                         applied=_exactly(bool)(doc["applied"]))
+    if doc["applied"] is not True:  # a model's values are on its transform's scale
+        raise TypeError(f"expected applied true, got {doc['applied']!r}")
+    return TransformSpec(lmbda=_real(doc["lambda"]))
 
 
 # The model document: (key, decoder) for each ModelSpec attribute, then for each
@@ -244,7 +246,7 @@ _FIT_FIELDS = (
 def _model_doc(model: FittedModel) -> dict:
     doc = _fields(model.spec, *(key for key, _ in _SPEC_FIELDS))
     doc.update(_fields(model, *(key for key, _ in _FIT_FIELDS)))
-    doc["transform"] = _transform_doc(model.transform)
+    doc["transform"] = _transform_doc(model.transform, applied=True)
     return doc
 
 
@@ -277,7 +279,7 @@ def _model_from_doc(doc: dict) -> FittedModel:
 
 def _config_doc(config: CvConfig) -> dict:
     doc = _fields(config, "window", "max_horizon", "step", "methods", "level")
-    doc["transform"] = _transform_doc(config.transform)
+    doc["transform"] = _transform_doc(config.transform, applied=False)
     return doc
 
 
@@ -378,8 +380,8 @@ def _cmd_forecast(args) -> int:
         raise CliValidationError("--level must lie in (0, 1)")
     model = _model_from_doc(_read_json_object(args.model, "model"))
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
-    if model.transform is not None and model.transform.applied:
-        series = transform(series, TransformSpec(lmbda=model.transform.lmbda))
+    if model.transform is not None:
+        series = transform(series, model.transform)
     model = rebind(model, series)
     result = forecast(model, args.steps, level=args.level)
     columns = (result.point, result.lower, result.upper)

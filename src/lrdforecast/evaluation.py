@@ -21,7 +21,6 @@ from .errors import (
     LengthMismatch,
     LrdForecastError,
     MalformedInput,
-    NonPositiveValue,
     NoScoredOrigins,
     ZeroActual,
     ZeroBaseline,
@@ -174,8 +173,11 @@ def improvement(mape_baseline: float, mape_candidate: float) -> float:
 def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     """Run the rolling-origin protocol on one series.
 
-    For every origin the window [o - window, o) is transformed, each method
-    is fit and asked for forecasts over 1..max_horizon, and the
+    The series is transformed once, so a value the transform rejects fails
+    before any fit, and for every origin o the window [o - window, o) is
+    cut from it: the transform is elementwise, so that is the window
+    transformed.
+    Each method is fit and asked for forecasts over 1..max_horizon, and the
     back-transformed points are scored against the actuals. An origin where
     any method fails is excluded for all methods, keeping every pairwise
     comparison paired. Each error matrix has one row per scored origin.
@@ -185,9 +187,7 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
         raise ConfigTooLargeForSeries(
             f"window {config.window} + horizon {config.max_horizon} exceeds length {n}"
         )
-    if config.transform is not None and config.transform.lmbda == 0.0:
-        if np.any(series.values <= 0):
-            raise NonPositiveValue("log-scale cross-validation needs positive data")
+    scaled = series if config.transform is None else transform(series, config.transform)
     if np.any(series.values == 0):
         raise ZeroActual("zero actuals make MAPE undefined")
 
@@ -196,13 +196,12 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     excluded = []
     for origin in range(config.window, n - config.max_horizon + 1, config.step):
         win = TimeSeries(
-            series.values[origin - config.window : origin],
+            scaled.values[origin - config.window : origin],
             start_time=series.start_time + (origin - config.window) * series.interval,
             interval=series.interval,
             label=series.label,
+            transform=config.transform,
         )
-        if config.transform is not None:
-            win = transform(win, config.transform)
         actual = series.values[origin : origin + config.max_horizon]
         points = {}
         try:

@@ -86,7 +86,7 @@ class MemoryClassification:
 
 
 def _loglog_fit(x, y):
-    """OLS of log10(y) on log10(x); returns slope, intercept, r_squared."""
+    """OLS of log10(y) on log10(x); returns slope and r_squared."""
     lx = np.log10(np.asarray(x, dtype=float))
     ly = np.log10(np.asarray(y, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -94,7 +94,7 @@ def _loglog_fit(x, y):
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 def _clamp(h, lo, hi, method):
@@ -138,7 +138,7 @@ def hurst_aggregated_variance(series: TimeSeries) -> HurstEstimate:
     if len(pts) < 4:
         raise SeriesTooShort("fewer than 4 usable block sizes")
     pts = np.asarray(pts, dtype=float)
-    slope, _, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
     h, clamped = _clamp(1.0 + slope / 2.0, 1e-6, 1.0 - 1e-6, AGGREGATED_VARIANCE)
     return HurstEstimate(AGGREGATED_VARIANCE, h, slope, pts, r2, clamped)
 
@@ -186,7 +186,7 @@ def hurst_rescaled_range(series: TimeSeries) -> HurstEstimate:
     if len(pts) < 4:
         raise SeriesTooShort("fewer than 4 usable scales")
     pts = np.asarray(pts, dtype=float)
-    slope, _, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
     return HurstEstimate(RESCALED_RANGE, slope, slope, pts, r2)
 
 
@@ -216,7 +216,7 @@ def hurst_periodogram(series: TimeSeries) -> HurstEstimate:
     if keep.sum() < 4:
         raise SeriesTooShort("fewer than 4 positive periodogram ordinates")
     pts = np.column_stack([lam[keep], spec[keep]])
-    slope, _, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
     h, clamped = _clamp((1.0 - slope) / 2.0, 1e-6, 1.2, PERIODOGRAM)
     return HurstEstimate(PERIODOGRAM, h, slope, pts, r2, clamped)
 

@@ -192,18 +192,18 @@ def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
             jac[first + i - 1, i:] = row[:-i]
 
 
-def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False,
-             fracdiff=None):
+def _css_fit(x: np.ndarray, p: int, q: int, start=None, fracdiff=None):
     """Minimise the conditional sum of squared innovations (CSS) of
     z = phi(B)(1-B)**d/theta(B) x.
 
-    The parameters are (phi, theta) with d = 0 or, with free_d, (d, phi,
-    theta) with d projected onto [0, _ARFIMA_D_CAP]. With d fixed, pure AR
-    cells are solved exactly by least squares. Otherwise Levenberg-Marquardt
-    (Marquardt, SIAM J. Appl. Math. 11, 1963) runs from start (zero when
-    None; a start with a non-finite CSS falls back to zero coefficients at
-    its d) on the Jacobian of _fill_jacobian, whose phi and theta rows
-    come from one filter call on the stacked series y and z. Each step
+    The parameters are (phi, theta) with d = 0 or, given fracdiff =
+    fracdiff_of(x), (d, phi, theta) with d projected onto [0, _ARFIMA_D_CAP].
+    With d fixed, pure AR cells are solved exactly by least squares.
+    Otherwise Levenberg-Marquardt (Marquardt, SIAM J. Appl. Math. 11, 1963)
+    runs from start (zero when None; a start with a non-finite CSS falls
+    back to zero coefficients at its d) on the Jacobian of _fill_jacobian,
+    whose phi and theta rows come from one filter call on the stacked
+    series y and z. Each step
     solves (J'J + lam diag(J'J)) s = J'z and is taken only if the CSS comes
     out finite and lower; otherwise lam grows tenfold, the damped diagonal
     is rewritten in place and the step is retried.
@@ -214,11 +214,11 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False,
     200 steps, or when no damping gives a lower CSS. The steps are not
     constrained to the causal and invertible region, so the fit returns the
     last admissible point of its path, which is also its lowest-CSS
-    admissible one (the final point when none is). With free_d, fracdiff
-    is fracdiff_of(x), which the cells of one fit share so that x is
-    transformed once per fit; it is built here when None. Returns (params,
+    admissible one (the final point when none is). The cells of one fit
+    share fracdiff, so that x is transformed once per fit. Returns (params,
     css, admissible).
     """
+    free_d = fracdiff is not None
     if not free_d and q == 0:
         phi = _ols_ar(x, p)
         z = innovations(x, phi, np.zeros(0))
@@ -227,8 +227,6 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, free_d: bool = False,
     n, o = x.size, int(free_d)
     k = o + p + q
     ar, ma = np.ones(p + 1), np.ones(q + 1)  # phi(B) and theta(B) at the trial point
-    if free_d and fracdiff is None:
-        fracdiff = fracdiff_of(x)
 
     def innovations_at(params):
         y = fracdiff(params[0]) if free_d else x
@@ -372,7 +370,7 @@ def _arfima_cells(x: np.ndarray):
             starts = (np.append(prev, 0.0), np.concatenate(([d0], np.zeros(p + q))))
         else:
             starts = (np.concatenate(([d0], _ols_ar(y0, p))),)
-        prev, css, ok = min((_css_fit(x, p, q, start, True, fracdiff)
+        prev, css, ok = min((_css_fit(x, p, q, start, fracdiff)
                               for start in starts),
                             key=lambda fit: (not fit[2], fit[1]))
         return prev[1 : p + 1], prev[p + 1 :], float(prev[0]), css, ok
@@ -387,8 +385,8 @@ def _arfima_cells(x: np.ndarray):
 def _fitted(series: TimeSeries, spec: ModelSpec, mean: float, sigma2: float,
             loglik: float, crit: float, phi=None, theta=None) -> FittedModel:
     """A fit on series as a FittedModel; the series gives the transform,
-    the length n and the history. Without phi or theta the model has no AR
-    or MA terms."""
+    the length n and the history, its read-only values. Without phi or
+    theta the model has no AR or MA terms."""
     return FittedModel(
         spec=spec,
         phi=np.zeros(0) if phi is None else phi,
@@ -399,7 +397,7 @@ def _fitted(series: TimeSeries, spec: ModelSpec, mean: float, sigma2: float,
         loglik=loglik,
         transform=series.transform,
         n=len(series),
-        history=series.values.copy(),
+        history=series.values,
     )
 
 
@@ -559,7 +557,7 @@ def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
 
     half = z * np.sqrt(var)
     lower, upper = point - half, point + half
-    if model.transform is not None and model.transform.applied:
+    if model.transform is not None:
         lam = model.transform.lmbda
         point = inv_boxcox(point, lam)
         lower = inv_boxcox(lower, lam)
@@ -589,4 +587,4 @@ def rebind(model: FittedModel, series: TimeSeries) -> FittedModel:
     fam = model.spec.family
     if fam in (NAIVE, MEAN):
         return fit(series, fam)
-    return dataclasses.replace(model, n=len(series), history=series.values.copy())
+    return dataclasses.replace(model, n=len(series), history=series.values)

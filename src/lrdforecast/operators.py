@@ -13,7 +13,8 @@ the filtering itself (scipy 1.17 on a Xeon core: 6.2-6.9 us per lfilter
 call against 2.5-2.9 us native). The results are the same bits as
 lfilter's.
 
-Every truncated expansion goes through causal_convolver, which holds one
+Each operator has one entry point; (1-B)**d is fracdiff_of. Every
+truncated expansion goes through causal_convolver, which holds one
 operand of a causal convolution: directly with np.convolve up to 512
 points, and above that by keeping the held operand's real FFT, so that a
 fit which convolves one fixed series (the data under every trial d, the
@@ -72,8 +73,6 @@ def _check_d(d: float) -> None:
 
 def fracdiff_weights(d: float, length: int) -> np.ndarray:
     """Coefficients of (1-B)**d via pi_j = pi_{j-1} * (j-1-d) / j."""
-    if length == 1:
-        return np.ones(1)
     j = np.arange(1, length)
     return np.concatenate(([1.0], np.cumprod((j - 1 - d) / j)))
 
@@ -94,8 +93,8 @@ def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
 
 
 def causal_convolver(held: np.ndarray, first: bool = True):
-    """The map b -> causal_convolve(held, b) when first, else
-    b -> causal_convolve(b, held), for b as long as held.
+    """The map b -> y, y_t = sum_{j<=t} u_j v_{t-j} (truncated at b's
+    length), for (u, v) = (held, b) when first, else (b, held).
 
     Up to _DIRECT_MAX points it is np.convolve in that argument order.
     Above, held's real FFT at next_fast_len(2n - 1) is taken once, here,
@@ -115,29 +114,17 @@ def causal_convolver(held: np.ndarray, first: bool = True):
     return lambda b: irfft(rfft(b, size) * spectrum, size)[:n]
 
 
-def causal_convolve(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y_t = sum_{j<=t} w_j x_{t-j}: the lower-triangular Toeplitz operator
-    with first column w applied to x, w and x of one length; directly up to
-    512 points and by FFT above (see causal_convolver, which keeps the
-    spectrum of an operand that several products share)."""
-    return causal_convolver(w)(x)
-
-
 def fracdiff_of(x: np.ndarray):
-    """The map d -> apply_fracdiff(x, d), with x's spectrum kept across d."""
+    """The map d -> (1-B)**d x, y_t = sum_{j<=t} pi_j x_{t-j} truncated at
+    the available history, with x's spectrum kept across d."""
     convolve = causal_convolver(x, first=False)
     return lambda d: convolve(fracdiff_weights(d, x.size))
-
-
-def apply_fracdiff(x: np.ndarray, d: float) -> np.ndarray:
-    """y_t = sum_{j<=t} pi_j x_{t-j}, truncating at the available history."""
-    return causal_convolve(fracdiff_weights(d, x.size), x)
 
 
 def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
     """Fractionally difference a series; output has the input's length."""
     _check_d(d)
-    return dataclasses.replace(series, values=apply_fracdiff(series.values, d))
+    return dataclasses.replace(series, values=fracdiff_of(series.values)(d))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +163,7 @@ def innovations(x: np.ndarray, phi, theta, d: float = 0.0) -> np.ndarray:
     """One-step innovations phi(B)(1-B)**d/theta(B) x with a zero presample."""
     ar, frac = _split_d(phi, d)
     if frac:
-        x = apply_fracdiff(x, frac)
+        x = fracdiff_of(x)(frac)
     return linear_filter(ar, mapoly(theta), x)
 
 
@@ -185,7 +172,7 @@ def integrate(z: np.ndarray, phi, theta, d: float = 0.0) -> np.ndarray:
     presample, so integrate(innovations(x, ...), ...) reproduces x."""
     ar, frac = _split_d(phi, d)
     if frac:
-        z = apply_fracdiff(z, -frac)
+        z = fracdiff_of(z)(-frac)
     return linear_filter(mapoly(theta), ar, z)
 
 

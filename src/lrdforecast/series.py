@@ -32,10 +32,11 @@ _CHUNK_RECORDS = 256
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Box-Cox transform parameters. lmbda=0 selects the natural log."""
+    """A Box-Cox transform; lmbda=0 selects the natural log. On a series or
+    a model it is the scale the values are on; in a CvConfig it is the
+    transform to apply."""
 
     lmbda: float = 0.0
-    applied: bool = False
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,8 @@ class TimeSeries:
 
     values is an immutable float64 array. start_time is the epoch timestamp
     (seconds) of the first observation and interval the sampling period in
-    seconds. transform records the Box-Cox spec under which the values are
-    expressed, or None for raw data.
+    seconds, both finite. transform is the Box-Cox transform the values are
+    on, or None for raw data.
     """
 
     values: np.ndarray
@@ -62,8 +63,11 @@ class TimeSeries:
             raise EmptyInput("series needs at least one observation")
         if not np.all(np.isfinite(vals)):
             raise MalformedInput("series contains non-finite values")
-        if not (self.interval > 0):
-            raise MalformedInput("sampling interval must be positive")
+        if not 0 < self.interval < math.inf:
+            raise MalformedInput(f"sampling interval must be finite and positive, "
+                                 f"got {self.interval}")
+        if not math.isfinite(self.start_time):
+            raise MalformedInput(f"start time must be finite, got {self.start_time}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -124,6 +128,15 @@ def _bad_record(path, chunk: list, lineno: int) -> MalformedInput:
     raise AssertionError("no bad record")
 
 
+def _records(path, first: int, count: int) -> list:
+    """(line number, row) of count data records of path from the first-th
+    on, found by reading it again: only an error message needs them."""
+    with open(path, newline="") as fh:
+        records = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
+                   if lineno > 1 and not _is_blank(row))
+        return list(itertools.islice(records, first, first + count))
+
+
 def _fill_too_long(path, total: int, ts: np.ndarray, gaps: np.ndarray, limit: str):
     at = float(ts[int(np.argmax(gaps)) + 1])
     return IrregularGrid(f"{path}: filling the gaps takes {total} points, more than "
@@ -181,12 +194,16 @@ def ingest_csv(path, interval_hint=None, fill=None) -> TimeSeries:
     if not ts.size:
         raise EmptyInput(f"{path}: no data rows")
     if np.any(vs <= 0):
-        raise NonPositiveValue(f"{path}: response times must be positive")
+        (lineno, row), = _records(path, int(np.argmax(vs <= 0)), 1)
+        raise NonPositiveValue(f"{path}:{lineno}: response times must be positive, "
+                               f"got {row[1]!r}")
     # as Python floats would: a difference or quotient that overflows is inf
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = np.diff(ts)
     if np.any(gaps <= 0):
-        raise IrregularGrid(f"{path}: timestamps must be strictly increasing")
+        (_, before), (lineno, row) = _records(path, int(np.argmax(gaps <= 0)), 2)
+        raise IrregularGrid(f"{path}:{lineno}: timestamps must be strictly increasing, "
+                            f"got {row[0]!r} after {before[0]!r}")
 
     if interval_hint is not None:
         interval = float(interval_hint)
@@ -248,11 +265,12 @@ def write_csv(series: TimeSeries, path) -> None:
 
 
 def boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
-    """Box-Cox transform: log for lmbda=0, else (y**lmbda - 1) / lmbda."""
+    """Box-Cox transform: log for lmbda=0, else (y**lmbda - 1) / lmbda.
+    Every lmbda needs positive values; any other is a NonPositiveValue."""
     values = np.asarray(values, dtype=float)
+    if np.any(values <= 0):
+        raise NonPositiveValue("Box-Cox transform requires positive values")
     if lmbda == 0.0:
-        if np.any(values <= 0):
-            raise NonPositiveValue("log transform requires positive values")
         return np.log(values)
     return (np.power(values, lmbda) - 1.0) / lmbda
 
@@ -268,16 +286,14 @@ def inv_boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
 def transform(series: TimeSeries, spec: TransformSpec) -> TimeSeries:
     """Apply the Box-Cox transform in spec and record it on the result."""
     w = boxcox(series.values, spec.lmbda)
-    return dataclasses.replace(
-        series, values=w, transform=TransformSpec(spec.lmbda, applied=True)
-    )
+    return dataclasses.replace(series, values=w, transform=spec)
 
 
 def inverse_transform(series: TimeSeries) -> TimeSeries:
     """Undo the transform recorded on the series, returning raw values."""
     spec = series.transform
-    if spec is None or not spec.applied:
-        raise MalformedInput("series carries no applied transform")
+    if spec is None:
+        raise MalformedInput("series carries no transform")
     raw = inv_boxcox(series.values, spec.lmbda)
     return dataclasses.replace(series, values=raw, transform=None)
 

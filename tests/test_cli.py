@@ -79,6 +79,19 @@ class TestSimulate:
                    "--n", "50", "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 51
 
+    @pytest.mark.parametrize("interval", ["inf", "nan"])
+    def test_non_finite_interval_is_one_error_line(self, tmp_path, capsys, interval):
+        out = tmp_path / "x.csv"
+        rc = run("simulate", "--kind", "white_noise", "--n", "4", "--interval", interval,
+                 "--offset", "5", "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "MalformedInput"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_kind_is_validation_error(self, tmp_path, capsys):
         rc = run("simulate", "--kind", "pink", "--n", "10",
                  "--out", str(tmp_path / "x.csv"))
@@ -230,6 +243,10 @@ class TestFitForecast:
         pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": 0.5,
                                                              "applied": "false"}}),
                      id="string-applied"),
+        # a model's values are on its transform's scale; the key is always true
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": 0.0,
+                                                             "applied": False}}),
+                     id="false-applied"),
         pytest.param(json.dumps({**_ARIMA_DOC, "transform": [0.5, True]}),
                      id="list-transform"),
         pytest.param(json.dumps({**_ARIMA_DOC, "mean": "1e3"}), id="string-mean"),

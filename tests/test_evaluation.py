@@ -22,11 +22,14 @@ from lrdforecast import (
     ZeroActual,
     ZeroBaseline,
     aggregate_reports,
+    fit,
+    forecast,
     generate,
     improvement,
     mae,
     mape,
     rolling_cv,
+    transform,
 )
 import lrdforecast.evaluation as evaluation
 
@@ -126,6 +129,41 @@ class TestRollingCv:
         with pytest.raises(NonPositiveValue):
             rolling_cv(s, _small_config())
 
+    @pytest.mark.parametrize("lmbda", [0.5, -0.3])
+    def test_nonpositive_value_raises_before_any_fit(self, monkeypatch, lmbda):
+        # every Box-Cox lambda needs positive data; the series is transformed
+        # once, so the error comes before the first origin is fitted
+        values = 50.0 + np.random.default_rng(1).standard_normal(100)
+        values[70] = -1.0
+
+        def no_fit(series, family):
+            raise AssertionError("fitted before the transform was checked")
+
+        monkeypatch.setattr(evaluation, "fit", no_fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveValue):
+                rolling_cv(TimeSeries(values), _small_config(transform=TransformSpec(lmbda)))
+
+    @pytest.mark.parametrize("lmbda", [0.0, 0.5, -0.3, None])
+    def test_transform_once_same_bits_as_per_window(self, lmbda):
+        # rolling_cv cuts its windows from the transformed series; that must
+        # give the bits of transforming each window alone, at every offset
+        spec = None if lmbda is None else TransformSpec(lmbda)
+        s = generate(GenSpec(kind="arfima", n=200, seed=7, d=0.35, offset=80.0))
+        if spec is not None:
+            whole = transform(s, spec).values
+            for start in range(64):
+                for size in (64, 96, 97):
+                    win = TimeSeries(s.values[start : start + size])
+                    assert np.array_equal(whole[start : start + size],
+                                          transform(win, spec).values)
+        cfg = CvConfig(window=64, max_horizon=8, step=7, transform=spec)
+        rep = rolling_cv(s, cfg)
+        for m, (err, pct) in _per_window_errors(s, cfg).items():
+            assert np.array_equal(rep.per_method[m].errors, err)
+            assert np.array_equal(rep.per_method[m].pct_errors, pct)
+
     def test_mean_beats_naive_on_iid(self):
         # the sample mean is the best constant predictor of exchangeable
         # data, so it must out-forecast the last value
@@ -221,6 +259,23 @@ class TestRollingCv:
         assert h1["naive"] < h1["mean"]
         assert h1["naive"] < h1["arima"] * 1.02
         assert h1["naive"] < h1["arfima"] * 1.05
+
+
+def _per_window_errors(series, cfg):
+    """{method: (errors, pct_errors)} of rolling_cv's protocol with every
+    window transformed on its own: the reference for the transform-once
+    loop, for a series on which no origin fails."""
+    out = {m: ([], []) for m in cfg.methods}
+    for origin in range(cfg.window, len(series) - cfg.max_horizon + 1, cfg.step):
+        win = TimeSeries(series.values[origin - cfg.window : origin])
+        if cfg.transform is not None:
+            win = transform(win, cfg.transform)
+        actual = series.values[origin : origin + cfg.max_horizon]
+        for m, (err, pct) in out.items():
+            e = actual - forecast(fit(win, m), cfg.max_horizon, cfg.level).point
+            err.append(e)
+            pct.append(100.0 * e / actual)
+    return {m: (np.array(err), np.array(pct)) for m, (err, pct) in out.items()}
 
 
 def _report_from_matrices(cfg, label, err, pct):

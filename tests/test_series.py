@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import sys
 from unittest import mock
 
@@ -43,7 +44,7 @@ def _ingest_by_rows(path, interval_hint=None, fill=None):
     replaced: the reference for its series and its errors."""
     if fill not in (None, "locf"):
         raise MalformedInput(f"unknown fill policy {fill!r}")
-    ts, vs = [], []
+    ts, vs, records = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -66,14 +67,19 @@ def _ingest_by_rows(path, interval_hint=None, fill=None):
                 raise MalformedInput(f"{path}:{lineno}: non-finite value {row[1]!r}")
             ts.append(t)
             vs.append(v)
+            records.append((lineno, row))
     if not ts:
         raise EmptyInput(f"{path}: no data rows")
+    for (lineno, row), v in zip(records, vs):
+        if v <= 0:
+            raise NonPositiveValue(f"{path}:{lineno}: response times must be positive, "
+                                   f"got {row[1]!r}")
+    for (_, before), (lineno, row), t0, t1 in zip(records, records[1:], ts, ts[1:]):
+        if t1 - t0 <= 0:
+            raise IrregularGrid(f"{path}:{lineno}: timestamps must be strictly increasing, "
+                                f"got {row[0]!r} after {before[0]!r}")
     ts = np.asarray(ts)
     vs = np.asarray(vs)
-    if np.any(vs <= 0):
-        raise NonPositiveValue(f"{path}: response times must be positive")
-    if ts.size > 1 and np.any(np.diff(ts) <= 0):
-        raise IrregularGrid(f"{path}: timestamps must be strictly increasing")
     if interval_hint is not None:
         interval = float(interval_hint)
         if not 0.0 < interval < math.inf:
@@ -208,6 +214,17 @@ class TestIngest:
         with pytest.raises(IrregularGrid):
             ingest_csv(path)
 
+    def test_nonpositive_and_unordered_rows_are_located(self, tmp_path):
+        # blank rows count in the line numbers, and cells are quoted as written
+        path = _write(tmp_path, ["0,1", "", "5,2", "6, -2.5 ", "5,3", "4,0"])
+        with pytest.raises(NonPositiveValue, match=rf"^{re.escape(str(path))}:5: response "
+                                                   r"times must be positive, got ' -2\.5 '$"):
+            ingest_csv(path)
+        path = _write(tmp_path, ["0,1", "", "5,2", "6,2", "", '" 6",3', "4,3"])
+        with pytest.raises(IrregularGrid, match=rf"^{re.escape(str(path))}:7: timestamps "
+                                                r"must be strictly increasing, got ' 6' after '6'$"):
+            ingest_csv(path)
+
     def test_interval_hint_overrides_inference(self, tmp_path):
         path = _write(tmp_path, ["0,1", "7200,2"])
         ts = ingest_csv(path, interval_hint=3600, fill="locf")
@@ -337,6 +354,16 @@ class TestContainer:
         with pytest.raises(MalformedInput):
             TimeSeries(np.array([1.0]), interval=0.0)
 
+    @pytest.mark.parametrize("interval", [math.inf, math.nan])
+    def test_rejects_non_finite_interval(self, interval):
+        with pytest.raises(MalformedInput, match="sampling interval must be finite"):
+            TimeSeries(np.array([1.0]), interval=interval)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_start_time(self, start):
+        with pytest.raises(MalformedInput, match="start time must be finite"):
+            TimeSeries(np.array([1.0]), start_time=start)
+
     def test_values_immutable(self):
         ts = TimeSeries(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
@@ -352,7 +379,7 @@ class TestTransform:
         ts = TimeSeries(np.array([1.0, np.e, np.e**2]))
         out = transform(ts, TransformSpec(lmbda=0.0))
         np.testing.assert_allclose(out.values, [0.0, 1.0, 2.0], atol=1e-12)
-        assert out.transform == TransformSpec(0.0, applied=True)
+        assert out.transform == TransformSpec(0.0)
 
     def test_lambda_one(self):
         out = transform(TimeSeries(np.array([5.0])), TransformSpec(lmbda=1.0))
@@ -367,6 +394,12 @@ class TestTransform:
     def test_log_rejects_nonpositive(self):
         with pytest.raises(NonPositiveValue):
             transform(TimeSeries(np.array([1.0, -2.0])), TransformSpec(lmbda=0.0))
+
+    @pytest.mark.parametrize("lmbda", [0.5, -0.3, 1.0])
+    @pytest.mark.parametrize("bad", [0.0, -2.0])
+    def test_every_lambda_rejects_nonpositive(self, lmbda, bad):
+        with pytest.raises(NonPositiveValue):
+            transform(TimeSeries(np.array([1.0, bad])), TransformSpec(lmbda=lmbda))
 
     def test_inverse_requires_applied_transform(self):
         with pytest.raises(MalformedInput):
