@@ -17,12 +17,22 @@ Forecasts invert the fitted innovation filter
 phi(B)(1-B)**d/theta(B), with Gaussian prediction intervals computed on the
 (optionally Box-Cox transformed) fitting scale and mapped back. The filter,
 its inverse and the other operator primitives are in lrdforecast.operators.
+
+On a 96-point window an ARIMA fit takes about 10-12 ms and a fractional
+fit about 5 ms (one Xeon core, numpy 2.4, scipy 1.17; the host's speed
+drifts by tens of per cent). A Levenberg-Marquardt step is one Jacobian
+fill (about 20 us for a (2, 2) cell with d), then per damping tried one
+solve (3-5 us) and one innovation filter (2-3 us; 16 us more to
+difference x fractionally). The walk back to an admissible point costs
+about 10 us per point without an MA part and 30-50 us with both parts,
+most of it the common-root test.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +41,7 @@ from scipy.stats import norm
 from .errors import (
     DegenerateSampleSize,
     InvalidLevel,
+    LrdForecastError,
     MalformedInput,
     NoAdmissibleModel,
     SeriesTooShort,
@@ -43,7 +54,7 @@ from .operators import (
     innovations,
     integrate,
     linear_filter,
-    mapoly,
+    solve,
 )
 from .series import TimeSeries, TransformSpec, inv_boxcox
 
@@ -171,23 +182,27 @@ def _neg_log(n: int):
     return causal_convolver(np.concatenate(([0.0], 1.0 / np.arange(1, n))))
 
 
-def _fill_jacobian(jac: np.ndarray, y: np.ndarray, z: np.ndarray, p: int,
-                   theta: np.ndarray) -> None:
+def _fill_jacobian(jac: np.ndarray, buf: np.ndarray, y: np.ndarray, z: np.ndarray,
+                   p: int, ma: np.ndarray) -> None:
     """Write into jac, zeros below its lag bands, the rows -dz/d(d, phi,
     theta) of the innovations z = phi(B)/theta(B) y, y = (1-B)**d x, under
-    the zero presample; the d row comes first when jac has p + q + 1 rows.
-    They are lagged copies of y/theta(B) for phi and of z/theta(B) for
-    theta, both filtered by one linear_filter call on their stack, and for
-    d the lagged sum sum_{j>=1} z_{t-j}/j = -log(1-B) z, exact because
-    truncated lower-triangular Toeplitz operators commute."""
-    o = jac.shape[0] - p - theta.size
+    the zero presample, where ma is theta(B); the d row comes first when
+    jac has p + q + 1 rows. They are lagged copies of y/theta(B) for phi
+    and of z/theta(B) for theta, and for d the lagged sum
+    sum_{j>=1} z_{t-j}/j = -log(1-B) z, exact because truncated
+    lower-triangular Toeplitz operators commute. With both bands, y and z
+    are copied into buf, a 2 x n array, and filtered by one linear_filter
+    call; with q = 0 the filter is the identity and is not called."""
+    q = ma.size - 1
+    o = jac.shape[0] - p - q
     if o:
         jac[0] = _neg_log(z.size)(z)
-    bands = [band for band in ((o, y, p), (o + p, z, theta.size)) if band[2]]
-    if not bands:
-        return
-    u = linear_filter(_ONE, mapoly(theta), np.stack([series for _, series, _ in bands]))
-    for (first, _, lags), row in zip(bands, u):
+    if q and p:
+        buf[0], buf[1] = y, z
+        y, z = linear_filter(_ONE, ma, buf)
+    elif q:
+        z = linear_filter(_ONE, ma, z)
+    for first, row, lags in ((o, y, p), (o + p, z, q)):
         for i in range(1, lags + 1):
             jac[first + i - 1, i:] = row[:-i]
 
@@ -244,26 +259,30 @@ def _css_fit(x: np.ndarray, p: int, q: int, start=None, fracdiff=None):
             y, z = innovations_at(params)
             f = float(z @ z)
         path = [(params, f)]
-        jac = np.zeros((k, n))
+        jac, buf = np.zeros((k, n)), np.empty((2, n))
         for _ in range(_LM_MAXITER):
-            _fill_jacobian(jac, y, z, p, params[o + p :])
+            _fill_jacobian(jac, buf, y, z, p, ma)
             g = jac @ z  # -grad(CSS) / 2
             d = params[0]  # held this step when on a bound with g pointing out
             s = int(free_d and (d <= 0.0 and g[0] < 0 or d >= _ARFIMA_D_CAP and g[0] > 0))
+            if s == k:
+                break
             if s:
                 g = g[s:]
-            if s == k or not np.all(np.isfinite(g)) or 2.0 * np.max(np.abs(g)) <= _LM_GTOL:
+            gmax = float(np.abs(g).max())
+            if not math.isfinite(gmax) or 2.0 * gmax <= _LM_GTOL:
                 break
             h = jac @ jac.T
             if s:
-                h = h[s:, s:]
-            hdiag = np.diag(h).copy()
+                h = h[s:, s:].copy()
+            diag = h.ravel()[:: h.shape[0] + 1]  # a view: h is C-contiguous
+            hdiag = diag.copy()
             # an all-zero Jacobian row would leave the damped system singular
             scale = np.where(hdiag > 0, hdiag, 1.0)
             while lam <= _LM_LAMBDA_MAX:
-                np.fill_diagonal(h, hdiag + lam * scale)
+                diag[:] = hdiag + lam * scale
                 trial = params.copy()
-                trial[s:] += np.linalg.solve(h, g)
+                trial[s:] += solve(h, g)
                 if free_d:
                     trial[0] = min(max(trial[0], 0.0), _ARFIMA_D_CAP)
                 y_new, z_new = innovations_at(trial)
@@ -526,12 +545,22 @@ def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
     zeros; the inverse's impulse response gives the weights psi, and the
     per-horizon variance is sigma2 times their cumulative sum of squares.
     With a log transform the mapped-back bounds are asymmetric and strictly
-    positive.
+    positive. A horizon whose arrays numpy cannot address or allocate
+    raises MalformedInput naming it.
     """
     if h < 1:
         raise MalformedInput("horizon must be >= 1")
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"level {level} outside (0, 1)")
+    try:
+        return _forecast(model, h, level)
+    except LrdForecastError:
+        raise
+    except (MemoryError, ValueError) as exc:  # numpy refusing h-length arrays
+        raise MalformedInput(f"horizon {h} is too long to forecast: {exc}") from None
+
+
+def _forecast(model: FittedModel, h: int, level: float) -> ForecastResult:
     z = float(norm.ppf(0.5 + level / 2.0))
     fam = model.spec.family
 

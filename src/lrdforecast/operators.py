@@ -6,12 +6,25 @@ the causality and invertibility test, the admissibility test (causal,
 invertible, no common root), and the fractional differencing operator
 (1-B)**d with its expansion coefficients.
 
-Every rational filter goes through linear_filter, which calls the native
-direct-form filter behind scipy.signal.lfilter without lfilter's array-API
-wrapper. On the 96-point windows of a CSS fit that wrapper costs more than
-the filtering itself (scipy 1.17 on a Xeon core: 6.2-6.9 us per lfilter
-call against 2.5-2.9 us native). The results are the same bits as
-lfilter's.
+Every filter goes through linear_filter, the damped solves of a CSS fit
+through solve and the roots of the common-root test through roots. Each
+calls the kernel behind its public counterpart without the public
+wrapper, which on the tiny arrays of a 96-point fit costs more than the
+kernel. Per call, public against here, over timings taken at different
+moments (numpy 2.4, scipy 1.17, one Xeon core):
+
+- lfilter, IIR, 96 points: 4.6-6.9 us against 1.8-2.9 us (scipy's native
+  direct-form filter);
+- lfilter, FIR, 96 points: 15-16 us against 2.5-5.0 us (np.convolve, as
+  lfilter);
+- np.linalg.solve, 5 x 5 to 11 x 11: 6.6-11 us against 2.9-5.3 us
+  (numpy's LAPACK gufunc solve1);
+- np.roots, degree 2 and 3: 21-36 us against 7.5-12 us (numpy's LAPACK
+  gufunc eigvals on a companion matrix built here).
+
+The results are the same bits as the public calls'. The private entry
+points are imported under guards, and without them the public calls are
+made.
 
 Each operator has one entry point; (1-B)**d is fracdiff_of. Every
 truncated expansion goes through causal_convolver, which holds one
@@ -29,7 +42,10 @@ scipy 1.17).
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +59,18 @@ try:  # private, so guarded: without it every filter goes through lfilter
     from scipy.signal._sigtools import _linear_filter
 except ImportError:
     _linear_filter = None
+# The LAPACK gufuncs behind np.linalg.solve and np.linalg.eigvals. numpy 1.x
+# (numpy.linalg.linalg) and 2.x (numpy.linalg._linalg) both import them from
+# this extension module; private, so guarded: without them solve and roots
+# make the public calls.
+try:
+    from numpy.linalg._umath_linalg import eigvals as _eigvals
+except ImportError:
+    _eigvals = None
+try:
+    from numpy.linalg._umath_linalg import solve1 as _solve1
+except ImportError:
+    _solve1 = None
 
 # Largest differencing exponent accepted by the fractional operator. Values
 # up to 2 cover the integer orders the ARIMA path needs.
@@ -71,10 +99,21 @@ def _check_d(d: float) -> None:
         raise InvalidD(f"d={d} outside (-1, {_D_MAX}]")
 
 
+@functools.lru_cache(maxsize=8)
+def _lags(length: int):
+    """j - 1 and j for j = 1 .. length - 1, as read-only float arrays: the
+    values numpy casts the integers to, so the weights keep their bits."""
+    j = np.arange(1.0, length)
+    lags = (j - 1.0, j)
+    for a in lags:
+        a.flags.writeable = False
+    return lags
+
+
 def fracdiff_weights(d: float, length: int) -> np.ndarray:
     """Coefficients of (1-B)**d via pi_j = pi_{j-1} * (j-1-d) / j."""
-    j = np.arange(1, length)
-    return np.concatenate(([1.0], np.cumprod((j - 1 - d) / j)))
+    jm1, j = _lags(length)
+    return np.concatenate(([1.0], np.cumprod((jm1 - d) / j)))
 
 
 def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
@@ -133,10 +172,16 @@ def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
 
 def linear_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """lfilter(b, a, x) along the last axis with a zero presample, each row
-    of a 2-D x filtered on its own. An FIR filter (a.size == 1) goes through
-    lfilter, whose np.convolve path the native filter would not reproduce
-    bit for bit."""
-    if _linear_filter is None or a.size == 1:
+    of a 2-D x filtered on its own, the same bits without lfilter's wrapper.
+    A rational filter calls the native filter behind lfilter. An FIR filter
+    (a.size == 1) is lfilter's own np.convolve(b / a[0], row), truncated to
+    the row's length; the native filter would not reproduce those bits."""
+    if a.size == 1:
+        b, n = b / a[0], x.shape[-1]
+        if x.ndim == 1:
+            return np.convolve(b, x)[:n]
+        return np.stack([np.convolve(b, row)[:n] for row in x])
+    if _linear_filter is None:
         return lfilter(b, a, x)
     return _linear_filter(b, a, x, -1)
 
@@ -199,6 +244,52 @@ def causal_invertible(phi, theta) -> bool:
             and roots_outside_unit_circle(mapoly(theta)))
 
 
+def roots(p: np.ndarray) -> np.ndarray:
+    """np.roots(p) for a 1-D float p, the same bits without its wrappers.
+
+    Leading zeros are stripped, the eigenvalues of the companion matrix
+    come from the LAPACK gufunc that np.linalg.eigvals calls, they are cast
+    to real when every imaginary part is 0, and each stripped trailing zero
+    adds a root at 0. A companion matrix that is not finite, which
+    np.linalg.eigvals refuses, and eigenvalues that did not converge (NaN,
+    with an invalid operation flagged, so call it where those are ignored,
+    as admissible does) go to np.roots, which raises LinAlgError for both.
+    """
+    if _eigvals is None:
+        return np.roots(p)
+    nonzero = [i for i, c in enumerate(p.tolist()) if c]
+    if not nonzero:
+        return np.roots(p)
+    lead, last = nonzero[0], nonzero[-1]
+    if last > lead:
+        comp = np.eye(last - lead, k=-1)
+        comp[0] = -p[lead + 1 : last + 1] / p[lead]
+        if not all(map(math.isfinite, comp[0].tolist())):
+            return np.roots(p)
+        w = _eigvals(comp, signature="d->D")
+        if not all(map(cmath.isfinite, w.tolist())):
+            return np.roots(p)
+        if not w.imag.any():
+            w = w.real
+    else:
+        w = np.zeros(0)
+    trailing = p.size - 1 - last
+    return np.concatenate((w, np.zeros(trailing, w.dtype))) if trailing else w
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a square float a and a 1-D float b, the
+    same bits through the LAPACK gufunc it calls, without its wrapper. A
+    singular a gives NaN and flags an invalid operation, so call it where
+    those are ignored; a result that is not finite is solved again by
+    np.linalg.solve, which raises LinAlgError for a singular a."""
+    if _solve1 is not None:
+        x = _solve1(a, b, signature="dd->d")
+        if all(map(math.isfinite, x.tolist())):
+            return x
+    return np.linalg.solve(a, b)
+
+
 def admissible(phi, theta) -> bool:
     """Causality and invertibility, and no (near-)common root between phi(B)
     and theta(B), since a shared factor cancels and leaves the
@@ -208,8 +299,8 @@ def admissible(phi, theta) -> bool:
     if len(phi) and len(theta):
         # the reciprocal roots come from monic polynomials, so a subnormal top
         # coefficient cannot overflow; |1/a - 1/b| = |a - b| / |a b|
-        ra, rm = np.roots(arpoly(phi))[:, None], np.roots(mapoly(theta))[None, :]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ra, rm = roots(arpoly(phi))[:, None], roots(mapoly(theta))[None, :]
             dist = np.abs(ra - rm) / np.abs(ra * rm)
         if np.any(dist < _COMMON_ROOT_TOL):
             return False

@@ -186,6 +186,23 @@ class TestFitForecast:
         assert np.all(rows[:, 2] <= rows[:, 1]) and np.all(rows[:, 1] <= rows[:, 3])
         assert np.all(rows[:, 2] > 0)
 
+    @pytest.mark.parametrize("steps", [2**62, 2**63 - 1])
+    def test_unaddressable_horizon_is_one_error_line(self, sim_csv, tmp_path, capsys, steps):
+        model, fc = tmp_path / "model.json", tmp_path / "fc.csv"
+        assert run("fit", str(sim_csv), "--family", "arima", "--out", str(model)) == 0
+        capsys.readouterr()
+        rc = run("forecast", "--model", str(model), "--series", str(sim_csv),
+                 "--steps", str(steps), "--out", str(fc))
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "MalformedInput" and str(steps) in err["message"]
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["model.json", "model.json.manifest.json",
+                                                "s.csv", "s.csv.manifest.json"]
+
     def test_naive_family(self, sim_csv, tmp_path):
         model = tmp_path / "naive.json"
         assert run("fit", str(sim_csv), "--family", "naive", "--out", str(model)) == 0

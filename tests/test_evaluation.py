@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_toeplitz
 
 from lrdforecast import (
     ConfigMismatch,
@@ -29,6 +30,7 @@ from lrdforecast import (
     mae,
     mape,
     rolling_cv,
+    theoretical_acf_arfima0d0,
     transform,
 )
 import lrdforecast.evaluation as evaluation
@@ -340,3 +342,49 @@ class TestAggregation:
         rep = rolling_cv(s, _small_config())
         imp = rep.improvements[("naive", "mean")]
         assert imp.max == pytest.approx(np.nanmax(imp.per_horizon))
+
+
+class TestAccuracyOracle:
+    """The fitted ARFIMA against the best forecaster possible. On fractional
+    noise, ARFIMA(0, d, 0), the autocorrelations are closed-form, so the
+    exact finite-sample best linear predictor at the true d is one Toeplitz
+    solve per window, centred at the window mean. The fit must pool a MAPE
+    within MARGIN_PCT per cent of the predictor's.
+
+    The margin is the mean plus four standard deviations of the fit's
+    excess in a Monte Carlo of 120 draws of this design, sixteen series
+    each on seeds 16 to 1935, none of them used here: mean 0.51%, standard
+    deviation 0.20%, largest 1.07%. On the same draws the window mean
+    exceeded the predictor by 1.71% on average; on this test's seeds the
+    fit's excess is 0.45% and the window mean's 2.0%."""
+
+    D, N, SERIES, MARGIN_PCT = 0.35, 600, 16, 1.3
+    CONFIG = CvConfig(window=96, max_horizon=48, step=24, methods=("arfima",),
+                      transform=None)
+
+    def _oracle_abs_pct(self, x):
+        w, h = self.CONFIG.window, self.CONFIG.max_horizon
+        rho = theoretical_acf_arfima0d0(self.D, w + h)
+        # cross[i, k - 1]: the correlation of window point i with step k
+        cross = rho[(w - 1) + np.arange(1, h + 1)[None, :] - np.arange(w)[:, None]]
+        rows = []
+        for origin in range(w, x.size - h + 1, self.CONFIG.step):
+            window = x[origin - w : origin]
+            center = window.mean()
+            point = center + solve_toeplitz(rho[:w], window - center) @ cross
+            actual = x[origin : origin + h]
+            rows.append(np.abs(100.0 * (actual - point) / actual))
+        return np.array(rows)
+
+    def test_fitted_arfima_within_margin_of_true_d_predictor(self):
+        fitted, oracle = [], []
+        for seed in range(self.SERIES):
+            s = generate(GenSpec(kind="arfima", n=self.N, seed=seed, d=self.D, offset=50.0))
+            rep = rolling_cv(s, self.CONFIG)
+            assert not rep.excluded_origins
+            fitted.append(np.abs(rep.per_method["arfima"].pct_errors))
+            oracle.append(self._oracle_abs_pct(s.values))
+        fitted, oracle = np.concatenate(fitted), np.concatenate(oracle)
+        assert fitted.shape == oracle.shape == (self.SERIES * 20, 48)
+        excess = 100.0 * (fitted.mean() / oracle.mean() - 1.0)
+        assert excess <= self.MARGIN_PCT

@@ -3,6 +3,8 @@ forecast behavior, cross-checked against closed forms and brute-force
 linear-projection oracles."""
 
 import dataclasses
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -276,25 +278,55 @@ class TestInnovationFilter:
                                       lfilter([1.0, 0.3], [1.0, -0.5], x))
 
 
+def _outcome(f, *args):
+    """f(*args) as (dtype, shape, bytes), or "LinAlgError" if it raised that;
+    overflow and invalid operations are ignored, as where the library
+    calls these."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            r = f(*args)
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+    return r.dtype, r.shape, r.tobytes()
+
+
+# degree 0-5 coefficients: exact zeros (trailing ones are roots at 0),
+# subnormals, and ordinary values
+_COEFS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324, -2.2e-313]))
+
+
 class TestNativeFilter:
-    """linear_filter calls scipy's private native filter behind lfilter;
-    these pin it to lfilter bit for bit, so a scipy that moves or changes
-    that entry point fails here rather than shifting fits."""
+    """linear_filter, solve and roots call scipy's and numpy's private entry
+    points behind lfilter, np.linalg.solve and np.roots (FIR filters the
+    np.convolve lfilter itself uses); these pin each to its public
+    counterpart bit for bit, natively and with the entry point patched to
+    None, so a scipy or numpy that moves or changes one fails here rather
+    than shifting fits."""
 
     B, A = np.array([1.0, 0.3, -0.2]), np.array([1.0, -0.5, 0.25])
+    ENTRY_POINTS = ("_linear_filter", "_solve1", "_eigvals")
 
     def _cases(self):
         rng = np.random.default_rng(12)
         x, stacked = rng.standard_normal(96), rng.standard_normal((2, 96))
         return ((self.B, self.A, x), (np.ones(1), self.A, stacked),
-                (self.B, np.ones(1), x), (self.B, np.ones(1), stacked))
+                (self.B, np.ones(1), x), (self.B, np.ones(1), stacked),
+                (self.B, np.array([2.5]), x), (self.B, np.array([-0.3]), stacked))
 
     def test_native_entry_point_is_present(self):
         assert operators._linear_filter is not None
 
+    def test_numpy_entry_points_are_present(self):
+        # the gufuncs numpy.linalg itself calls, from its module at numpy 2
+        # (numpy.linalg._linalg) or at numpy 1 (numpy.linalg.linalg)
+        linalg = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+        assert operators._solve1 is linalg._umath_linalg.solve1
+        assert operators._eigvals is linalg._umath_linalg.eigvals
+
     @pytest.mark.parametrize("native", [True, False])
     def test_bit_identical_to_lfilter(self, monkeypatch, native):
-        # 1-D IIR, a stacked 2 x n input (each row on its own), and FIR
+        # 1-D IIR, a stacked 2 x n input (each row on its own), and FIR,
+        # also with a[0] != 1
         if not native:
             monkeypatch.setattr(operators, "_linear_filter", None)
         for b, a, x in self._cases():
@@ -303,6 +335,43 @@ class TestNativeFilter:
         rows = [lfilter(np.ones(1), self.A, row) for row in stacked]
         assert np.array_equal(linear_filter(np.ones(1), self.A, stacked), np.stack(rows))
 
+    @pytest.mark.parametrize("native", [True, False])
+    @settings(max_examples=300, deadline=None)
+    @example(poly=[1.0, 0.5, 0.0, 0.0])  # trailing zeros: two roots at 0
+    @example(poly=[0.0, 0.0, 2.0, -1.0])  # leading zeros
+    @example(poly=[0.0, -0.0])  # all zero
+    @example(poly=[3.0])  # degree 0
+    @example(poly=[1.0, 5e-324])  # a subnormal root
+    @example(poly=[5e-324, 1.0, 1.0])  # a subnormal lead overflows: LinAlgError
+    @example(poly=np.poly([0.5, 0.5, -0.8]).tolist())  # a repeated root
+    @example(poly=np.poly([0.3 + 0.4j, 0.3 - 0.4j, 0.9]).real.tolist())  # a complex pair
+    @example(poly=np.poly([0.7, 0.7, 0.7, 0.7, 0.7]).tolist())
+    @given(poly=st.lists(_COEFS, min_size=1, max_size=6))
+    def test_roots_bit_identical_to_np_roots(self, native, poly):
+        p = np.array(poly)
+        with mock.patch.object(operators, "_eigvals", operators._eigvals if native else None):
+            assert _outcome(operators.roots, p) == _outcome(np.roots, p)
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_solve_bit_identical_to_np_linalg_solve(self, monkeypatch, native):
+        if not native:
+            monkeypatch.setattr(operators, "_solve1", None)
+        rng = np.random.default_rng(5)
+        for k in range(1, 12):
+            jac = rng.standard_normal((k, 96))
+            h, g = jac @ jac.T, jac @ rng.standard_normal(96)
+            for lam in (1e-3, 1.0, 1e10):  # the damped systems of a fit
+                damped = h + lam * np.diag(np.diag(h))
+                assert _outcome(operators.solve, damped, g) == _outcome(np.linalg.solve, damped, g)
+            # the fit solves a non-contiguous block when d is held
+            assert (_outcome(operators.solve, damped[1:, 1:], g[1:])
+                    == _outcome(np.linalg.solve, damped[1:, 1:], g[1:]))
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            operators.solve(singular, np.ones(2))
+        nan = np.full((3, 3), np.nan)
+        assert _outcome(operators.solve, nan, np.ones(3)) == _outcome(np.linalg.solve, nan, np.ones(3))
+
     def test_css_fit_same_bits_without_native_filter(self, monkeypatch):
         def fits():
             out = []
@@ -310,14 +379,15 @@ class TestNativeFilter:
                 s = generate(GenSpec(kind="arfima", n=149, seed=seed, d=0.35, offset=50.0))
                 x = np.log(s.values[:96])
                 x = x - x.mean()
-                for p, q in ((1, 1), (2, 2), (0, 2)):
+                for p, q in ((1, 1), (2, 2), (0, 2), (2, 0)):
                     for fracdiff in (None, fracdiff_of(x)):
                         params, css, ok = _css_fit(x, p, q, fracdiff=fracdiff)
                         out.append((params.tobytes(), np.float64(css).tobytes(), ok))
             return out
 
         native = fits()
-        monkeypatch.setattr(operators, "_linear_filter", None)
+        for name in self.ENTRY_POINTS:  # the filter, solve1 and eigvals
+            monkeypatch.setattr(operators, name, None)
         assert fits() == native
 
 
@@ -574,7 +644,8 @@ class TestJointFit:
             return innovations(x, v[1 : p + 1], v[p + 1 :], v[0])
 
         jac = np.zeros((1 + p + q, n))
-        _fill_jacobian(jac, fracdiff_of(x)(params[0]), z_at(params), p, params[p + 1 :])
+        _fill_jacobian(jac, np.empty((2, n)), fracdiff_of(x)(params[0]), z_at(params), p,
+                       mapoly(params[p + 1 :]))
         step = 1e-6
         for i in range(1 + p + q):
             e = np.eye(1 + p + q)[i] * step
@@ -715,6 +786,23 @@ class TestForecast:
         model = fit_mean(TimeSeries(np.array([1.0, 2.0, 3.0])))
         with pytest.raises(InvalidLevel):
             forecast(model, 3, level=1.5)
+
+    @pytest.mark.parametrize("family", ["naive", "mean", "arima", "arfima"])
+    def test_unaddressable_horizon_is_typed(self, family):
+        # numpy refuses 2**62 float64 values before allocating anything
+        model = fit(self._series("arfima", 200), family, max_p=1, max_q=1)
+        with pytest.raises(MalformedInput, match=f"horizon {2**62} "):
+            forecast(model, 2**62)
+
+    def test_unallocatable_horizon_is_typed(self, monkeypatch):
+        model = fit(self._series("arfima", 200), "arfima", max_p=0, max_q=0)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(models, "integrate", no_memory)
+        with pytest.raises(MalformedInput, match="horizon 48 "):
+            forecast(model, 48)
 
     def test_bounds_order(self):
         s = generate(GenSpec(kind="arfima", n=300, seed=3, d=0.3, offset=40.0))
