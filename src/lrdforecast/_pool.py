@@ -1,0 +1,271 @@
+"""Worker interpreters that score contiguous blocks of independent work.
+
+``map_shards(fn, args, items)`` returns what ``fn(*args, items)`` returns,
+a list with one entry per item, but may split ``items`` into contiguous
+blocks: the calling process scores items one at a time from the front,
+each idle worker interpreter is handed a block from the back of what the
+caller has left, and the results are joined in item order. A result
+therefore never depends on the number of workers, nor on when they became
+ready.
+
+One pool serves the whole process (``rolling_cv``, and through it the
+``crossval`` command). ``LRDFORECAST_WORKERS`` counts the processes that
+compute, the caller included; unset, it is the number of usable cores, and
+1 runs everything in the caller. The old name ``LRDFORECAST_THREADS`` is
+still read.
+
+Workers are plain ``python -m lrdforecast._worker`` subprocesses joined by
+pipes, not multiprocessing children: multiprocessing's spawn and
+forkserver methods re-run the caller's ``__main__``, so a script that calls
+``rolling_cv`` at top level without a ``__main__`` guard would run again in
+every worker. A worker takes about 1.7 s to import numpy and scipy, so no
+call waits for one: the first call with at least two items launches up to
+one fewer workers than it has items, and a worker that reports ready while
+a call runs is handed part of what the caller has left of it. Workers are
+killed and reaped at exit.
+"""
+
+from __future__ import annotations
+
+import atexit
+import os
+import pickle
+import select
+import struct
+import sys
+import threading
+
+from .errors import MalformedInput
+
+WORKERS_ENV = "LRDFORECAST_WORKERS"
+LEGACY_WORKERS_ENV = "LRDFORECAST_THREADS"
+
+_PACKAGE_FILE = os.path.realpath(os.path.join(os.path.dirname(__file__), "__init__.py"))
+_HEADER = struct.Struct("<Q")
+
+
+def worker_count() -> int:
+    """Processes that compute, the caller included, from LRDFORECAST_WORKERS,
+    else LRDFORECAST_THREADS, else the usable cores. An empty value counts
+    as unset; any other value must be an integer >= 1."""
+    for name in (WORKERS_ENV, LEGACY_WORKERS_ENV):
+        text = os.environ.get(name)
+        if text:
+            if not text.strip().isdecimal() or int(text) < 1:
+                raise MalformedInput(f"{name} must be an integer >= 1, got {text!r}")
+            return int(text)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def write_frame(stream, obj) -> None:
+    """Write obj, pickled and length-prefixed, to an unbuffered binary stream."""
+    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_HEADER.pack(len(data)) + data)
+    while view:
+        view = view[stream.write(view):]
+
+
+def read_frame(stream):
+    """Read one object that write_frame wrote; EOFError at end of stream."""
+    (size,) = _HEADER.unpack(_read_exact(stream, _HEADER.size))
+    return pickle.loads(_read_exact(stream, size))
+
+
+def _read_exact(stream, size: int) -> bytes:
+    buf = bytearray()
+    while len(buf) < size:
+        chunk = stream.read(size - len(buf))
+        if not chunk:
+            raise EOFError("worker pipe closed")
+        buf += chunk
+    return bytes(buf)
+
+
+def call_shard(fn, args, items) -> tuple:
+    """(True, fn(*args, items)), or (False, exception) if it raised."""
+    try:
+        return True, fn(*args, items)
+    except Exception as exc:  # raised in the caller once every block is in
+        return False, exc
+
+
+def _in_multiprocessing_child() -> bool:
+    mp = sys.modules.get("multiprocessing")  # not imported: not a child
+    return mp is not None and mp.parent_process() is not None
+
+
+class _Worker:
+    """One worker interpreter: its process, the read end of its reply pipe,
+    and whether it has reported which lrdforecast it imported."""
+
+    def __init__(self, proc, replies):
+        self.proc = proc
+        self.replies = replies
+        self.ready = False
+
+    def fileno(self) -> int:  # for select
+        return self.replies.fileno()
+
+    def close(self) -> None:
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdin.close()
+        self.replies.close()
+
+
+class Pool:
+    """The worker interpreters of one process. Only the process that
+    created the pool uses or reaps its workers; in a forked child, or a
+    multiprocessing child, every call runs in the caller."""
+
+    def __init__(self):
+        self._pid = os.getpid()
+        self._lock = threading.Lock()  # one dispatch at a time
+        self._workers: list[_Worker] = []
+        # False without pipes select can poll, without an interpreter to
+        # start, or once a worker ended before it reported ready or
+        # imported another lrdforecast
+        self._usable = os.name == "posix" and bool(sys.executable)
+        atexit.register(self.close)
+
+    def map_shards(self, fn, args: tuple, items) -> list:
+        """fn(*args, items), a list with one entry per item, computed in
+        contiguous blocks by the caller and the ready workers and joined in
+        item order. fn must be importable by name. If a block raised, the
+        first such exception in item order is raised once all are in; a
+        worker that died has its block computed again here."""
+        want = min(worker_count() - 1, len(items) - 1)
+        if (want < 1 or os.getpid() != self._pid
+                or _in_multiprocessing_child() or not self._lock.acquire(blocking=False)):
+            return fn(*args, items)
+        try:
+            return self._dispatch(fn, args, items, want)
+        finally:
+            self._lock.release()
+
+    def _dispatch(self, fn, args, items, want: int) -> list:
+        lo, hi = 0, len(items)  # the caller's part, items[lo:hi]
+        blocks = {}  # start of a computed block: (ok, value)
+        busy = {}  # worker: (start, stop) of the block it computes
+
+        def finish(w):  # take w's reply, or compute its block here
+            reply = self._reply(w)
+            start, stop = busy.pop(w)
+            blocks[start] = reply or call_shard(fn, args, items[start:stop])
+
+        try:
+            while lo < hi:
+                for w in select.select(list(busy), [], [], 0)[0]:
+                    finish(w)
+                idle = self.ready(want, busy)[:hi - lo - 1]
+                # each idle worker takes a block from the back, half an
+                # equal share, so that it comes back for more before the end
+                size = max(1, (hi - lo) // (2 * len(idle) + 2))
+                for w in idle:
+                    start, stop, hi = hi - size, hi, hi - size
+                    busy[w] = start, stop
+                    try:
+                        write_frame(w.proc.stdin, (fn, args, items[start:stop]))
+                    except OSError:  # died since it reported ready
+                        del busy[w]
+                        self._drop(w)
+                        blocks[start] = call_shard(fn, args, items[start:stop])
+                blocks[lo] = call_shard(fn, args, items[lo:lo + 1])
+                lo += 1
+                if not blocks[lo - 1][0]:
+                    break  # every later item is past this exception
+            while busy:
+                finish(next(iter(busy)))
+        except BaseException:  # an interrupt: the replies in flight are lost
+            for w in busy:
+                self._drop(w)
+            raise
+        out = []
+        for start in sorted(blocks):
+            ok, value = blocks[start]
+            if not ok:
+                raise value
+            out.extend(value)
+        return out
+
+    def _reply(self, w):
+        """The worker's next message, or None if it cannot be read (the
+        worker is dropped)."""
+        try:
+            return read_frame(w.replies)
+        except Exception:  # whatever the cause, its block is computed here
+            self._drop(w)
+            return None
+
+    def ready(self, want: int, busy=()) -> list:
+        """The ready workers not in ``busy``, at most ``want`` less the
+        busy ones. Launches workers up to ``want`` in all without waiting
+        for them, and drops dead ones; one that ended before it reported
+        ready stops all further launches."""
+        starting = [w for w in self._workers if not w.ready]
+        if starting:
+            for w in select.select(starting, [], [], 0)[0]:  # a message or an end
+                self._check_in(w)
+        for w in [w for w in self._workers if w not in busy and w.proc.poll() is not None]:
+            if not w.ready:  # ended since the select: it never reported
+                self._usable = False
+            self._drop(w)
+        while self._usable and len(self._workers) < want:
+            try:
+                self._workers.append(self._launch())
+            except OSError:  # no process to be had: stay in the caller
+                self._usable = False
+        return [w for w in self._workers if w.ready and w not in busy][:want - len(busy)]
+
+    @staticmethod
+    def _launch() -> _Worker:
+        """Start a worker. It replies on a pipe of its own; its standard
+        output is the caller's standard error, so nothing it prints, even
+        while importing, reaches the replies. In a session of its own, it
+        does not get the terminal's interrupts: the caller handles those,
+        and kills it."""
+        import subprocess
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        replies, reply_end = os.pipe()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "lrdforecast._worker", str(reply_end)],
+                stdin=subprocess.PIPE, stdout=2, pass_fds=(reply_end,), bufsize=0,
+                start_new_session=True, env=env)
+        except BaseException:
+            os.close(replies)
+            raise
+        finally:
+            os.close(reply_end)
+        return _Worker(proc, os.fdopen(replies, "rb", buffering=0))
+
+    def _check_in(self, w: _Worker) -> None:
+        """Read a starting worker's ready message: the realpath of the
+        lrdforecast it imported. If it ended first, or imported another
+        file, it is dropped and no worker is launched again."""
+        if self._reply(w) == _PACKAGE_FILE:
+            w.ready = True
+        else:
+            self._usable = False
+            self._drop(w)
+
+    def _drop(self, w: _Worker) -> None:
+        if w in self._workers:
+            self._workers.remove(w)
+            w.close()
+
+    def close(self) -> None:
+        """Kill and reap every worker, started or starting; the pool stays
+        usable and launches new workers when next needed."""
+        if os.getpid() != self._pid:
+            return
+        while self._workers:
+            self._workers.pop().close()
+
+
+POOL = Pool()
+map_shards = POOL.map_shards

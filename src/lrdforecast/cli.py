@@ -17,20 +17,18 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import LrdForecastError
+from ._pool import worker_count
+from .errors import LrdForecastError, MalformedInput
 from .evaluation import CvConfig, aggregate_reports, rolling_cv
 from .lrd import adf_test, classify_memory, seasonal_peak_diagnostic
 from .models import FAMILIES, FittedModel, ModelSpec, fit, forecast, rebind
 from .operators import causal_invertible
 from .series import TimeSeries, TransformSpec, acf, ingest_csv, transform, write_csv
 from .synthgen import KINDS, GenSpec, generate
-
-THREADS_ENV = "LRDFORECAST_THREADS"
 
 
 class CliValidationError(Exception):
@@ -417,17 +415,6 @@ def _collect_series_paths(inputs) -> list:
     return paths
 
 
-def _cv_worker(task):
-    path, interval_hint, fill, config = task
-    series = ingest_csv(path, interval_hint=interval_hint, fill=fill)
-    try:
-        analysis = _analysis_doc(series)
-    except LrdForecastError as exc:
-        analysis = {"label": series.label, "error": f"{type(exc).__name__}: {exc}"}
-    report = rolling_cv(series, config)
-    return analysis, report
-
-
 def _methods(value) -> tuple:
     if isinstance(value, str):
         return tuple(m.strip() for m in value.split(",") if m.strip())
@@ -463,25 +450,22 @@ def _crossval_config(args) -> CvConfig:
         raise CliValidationError(f"bad crossval config: {exc}") from None
 
 
-def _worker_count() -> int:
-    """Worker processes from the environment; unset or empty means one."""
-    text = os.environ.get(THREADS_ENV) or "1"
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise CliValidationError(f"{THREADS_ENV} must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def _cmd_crossval(args) -> int:
     paths = _collect_series_paths(args.inputs)
     config = _crossval_config(args)
-    workers = _worker_count()
+    try:
+        worker_count()  # a bad value fails here, before any work
+    except MalformedInput as exc:
+        raise CliValidationError(str(exc)) from None
 
-    tasks = [(p, args.interval, args.fill, config) for p in paths]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cv_worker, tasks))
-    else:
-        results = [_cv_worker(t) for t in tasks]
+    results = []
+    for path in paths:
+        series = ingest_csv(path, interval_hint=args.interval, fill=args.fill)
+        try:
+            analysis = _analysis_doc(series)
+        except LrdForecastError as exc:
+            analysis = {"label": series.label, "error": f"{type(exc).__name__}: {exc}"}
+        results.append((analysis, rolling_cv(series, config)))
 
     pooled = aggregate_reports([r for _, r in results])
     boxplot = pooled.boxplot  # NoScoredOrigins, before --out-dir is made, if none scored

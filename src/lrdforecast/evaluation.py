@@ -25,6 +25,7 @@ from .errors import (
     ZeroActual,
     ZeroBaseline,
 )
+from ._pool import map_shards
 from .models import ARFIMA, ARIMA, FAMILIES, MEAN, NAIVE, fit, forecast
 from .series import TimeSeries, TransformSpec, transform
 
@@ -181,6 +182,9 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     back-transformed points are scored against the actuals. An origin where
     any method fails is excluded for all methods, keeping every pairwise
     comparison paired. Each error matrix has one row per scored origin.
+    Origins may be scored in contiguous shards by the process pool's
+    workers (see ``_pool``); they are joined in origin order, so the report
+    is the same for any worker count.
     """
     n = len(series)
     if config.window + config.max_horizon > n:
@@ -194,7 +198,33 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
     errors = {m: [] for m in config.methods}
     pct = {m: [] for m in config.methods}
     excluded = []
-    for origin in range(config.window, n - config.max_horizon + 1, config.step):
+    origins = range(config.window, n - config.max_horizon + 1, config.step)
+    for outcome in map_shards(_score_origins, (series, scaled, config), origins):
+        if isinstance(outcome, tuple):
+            excluded.append(outcome)
+            continue
+        for m, (e, p) in outcome.items():
+            errors[m].append(e)
+            pct[m].append(p)
+
+    h = config.max_horizon
+    return CvReport(
+        per_method={m: MetricSet(np.asarray(errors[m]).reshape(-1, h),
+                                 np.asarray(pct[m]).reshape(-1, h))
+                    for m in config.methods},
+        series_label=series.label,
+        config=config,
+        excluded_origins=tuple(excluded),
+    )
+
+
+def _score_origins(series: TimeSeries, scaled: TimeSeries, config: CvConfig, origins) -> list:
+    """Score rolling_cv's origins, each one either {method: (errors,
+    percentage errors)} over the horizons or, when a method fails there,
+    the exclusion (origin, method, reason). Runs in the caller and in the
+    pool's workers."""
+    out = []
+    for origin in origins:
         win = TimeSeries(
             scaled.values[origin - config.window : origin],
             start_time=series.start_time + (origin - config.window) * series.interval,
@@ -209,22 +239,14 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
                 model = fit(win, m)
                 points[m] = forecast(model, config.max_horizon, config.level).point
         except (LrdForecastError, np.linalg.LinAlgError) as exc:
-            excluded.append((origin, m, f"{type(exc).__name__}: {exc}"))
+            out.append((origin, m, f"{type(exc).__name__}: {exc}"))
             continue
+        scores = {}
         for m in config.methods:
             e = actual - points[m]
-            errors[m].append(e)
-            pct[m].append(100.0 * e / actual)
-
-    h = config.max_horizon
-    return CvReport(
-        per_method={m: MetricSet(np.asarray(errors[m]).reshape(-1, h),
-                                 np.asarray(pct[m]).reshape(-1, h))
-                    for m in config.methods},
-        series_label=series.label,
-        config=config,
-        excluded_origins=tuple(excluded),
-    )
+            scores[m] = (e, 100.0 * e / actual)
+        out.append(scores)
+    return out
 
 
 def aggregate_reports(reports) -> CvReport:

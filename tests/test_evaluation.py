@@ -1,7 +1,13 @@
 """Accuracy metrics, rolling-origin mechanics, pairing guarantees, and
 report pooling."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,9 @@ from lrdforecast import (
     transform,
 )
 import lrdforecast.evaluation as evaluation
+from lrdforecast import _pool
+
+DEMO_03 = Path(__file__).resolve().parent.parent / "demos" / "03_rolling_comparison.py"
 
 
 class TestMetrics:
@@ -133,6 +142,7 @@ class TestRollingCv:
 
     @pytest.mark.parametrize("lmbda", [0.5, -0.3])
     def test_nonpositive_value_raises_before_any_fit(self, monkeypatch, lmbda):
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "1")  # workers cannot see the patch
         # every Box-Cox lambda needs positive data; the series is transformed
         # once, so the error comes before the first origin is fitted
         values = 50.0 + np.random.default_rng(1).standard_normal(100)
@@ -194,6 +204,7 @@ class TestRollingCv:
             np.testing.assert_array_equal(a.per_method[m].errors, b.per_method[m].errors)
 
     def test_failed_origin_excluded_for_all_methods(self, monkeypatch):
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "1")  # workers cannot see the patch
         s = generate(GenSpec(kind="white_noise", n=120, seed=5, offset=50.0))
         cfg = _small_config()
         plain = rolling_cv(s, cfg)
@@ -235,6 +246,7 @@ class TestRollingCv:
     def test_programming_error_propagates(self, monkeypatch):
         # only the package's own errors and singular linear algebra mark an
         # origin as failed; anything else is a defect and must surface
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "1")  # workers cannot see the patch
         s = generate(GenSpec(kind="white_noise", n=120, seed=5, offset=50.0))
 
         def broken(series, family):
@@ -261,6 +273,198 @@ class TestRollingCv:
         assert h1["naive"] < h1["mean"]
         assert h1["naive"] < h1["arima"] * 1.02
         assert h1["naive"] < h1["arfima"] * 1.05
+
+
+def _spied_tasks(monkeypatch) -> list:
+    """Record each task the pool sends: (the worker's pipe, its items)."""
+    sent, real = [], _pool.write_frame
+
+    def spy(stream, obj):
+        sent.append((stream, list(obj[2])))
+        real(stream, obj)
+
+    monkeypatch.setattr(_pool, "write_frame", spy)
+    return sent
+
+
+def _same_outcomes(a, b):
+    """_score_origins outcomes, equal to the bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert type(x) is type(y)
+        if isinstance(x, tuple):
+            assert x == y
+        else:
+            assert list(x) == list(y)
+            for m in x:
+                assert all(u.tobytes() == v.tobytes() for u, v in zip(x[m], y[m]))
+
+
+def _same_report(a, b):
+    assert a.excluded_origins == b.excluded_origins
+    assert list(a.per_method) == list(b.per_method)
+    for m in a.per_method:
+        for field in ("errors", "pct_errors"):
+            x, y = getattr(a.per_method[m], field), getattr(b.per_method[m], field)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture()
+def fresh_pool(monkeypatch):
+    """The pool with no worker, able to launch; as it was afterwards."""
+    monkeypatch.setattr(_pool.POOL, "_usable", True)
+    _pool.POOL.close()
+    yield _pool.POOL
+    _pool.POOL.close()
+
+
+class TestParallelOrigins:
+    @staticmethod
+    def _series():
+        # a constant stretch: every ARIMA fit inside it fails the ADF
+        # regression, so three origins in the middle are excluded
+        values = generate(GenSpec(kind="arfima", n=300, seed=2, d=0.35, offset=50.0)).values.copy()
+        values[100:200] = 50.0
+        return TimeSeries(values)
+
+    CONFIG = CvConfig(window=96, max_horizon=8, step=8, methods=("naive", "mean", "arima"))
+    ORIGINS = list(range(96, 300 - 8 + 1, 8))
+
+    def test_same_bytes_for_any_worker_count(self, workers, monkeypatch):
+        s = self._series()
+        workers(1)
+        serial = rolling_cv(s, self.CONFIG)
+        assert len(serial.excluded_origins) == 3
+        used = []
+        for k in (3, 2):
+            workers(k)
+            sent = _spied_tasks(monkeypatch)
+            _same_report(serial, rolling_cv(s, self.CONFIG))
+            used.append(len({id(stream) for stream, _ in sent}))
+        assert used == [2, 1]
+        _pool.POOL.close()
+
+    def test_worker_ready_mid_call_takes_part_of_it(self, workers, monkeypatch):
+        # the worker is seen ready only from the caller's fourth origin on:
+        # it is handed a block from the back of what the caller has left
+        s = self._series()
+        workers(1)
+        serial = rolling_cv(s, self.CONFIG)
+        pool, real, polls = workers(2), _pool.Pool.ready, []
+
+        def late(self, want, busy=()):
+            polls.append(want)
+            return real(self, want, busy) if len(polls) > 3 else []
+
+        monkeypatch.setattr(_pool.Pool, "ready", late)
+        sent = _spied_tasks(monkeypatch)
+        _same_report(serial, rolling_cv(s, self.CONFIG))
+        rest = len(self.ORIGINS) - 3
+        assert sent[0][1] == self.ORIGINS[-(rest // 4):]
+        assert len(pool._workers) == 1
+
+    def test_a_call_launches_no_more_workers_than_it_can_use(self, fresh_pool, monkeypatch):
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "4")
+        s = self._series()
+        _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS[:2])
+        assert len(fresh_pool._workers) == 1
+        _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS[:3])
+        assert len(fresh_pool._workers) == 2
+
+    def test_killed_worker_shard_is_recomputed(self, workers):
+        s = self._series()
+        pool = workers(2)
+        first = rolling_cv(s, self.CONFIG)
+        (w,) = pool.ready(1)
+        os.kill(w.proc.pid, signal.SIGKILL)
+        _same_report(first, rolling_cv(s, self.CONFIG))
+        assert w.proc.returncode is not None  # reaped
+        workers(1)
+        _same_report(first, rolling_cv(s, self.CONFIG))
+
+    def test_worker_exception_is_raised_in_caller(self, workers, monkeypatch):
+        # an origin past the end leaves no actuals to score: numpy's
+        # broadcasting error, raised in the worker that scores it
+        s = self._series()
+        workers(2)
+        sent = _spied_tasks(monkeypatch)
+        with pytest.raises(ValueError, match="broadcast"):
+            _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), [96, len(s)])
+        assert [items for _, items in sent] == [[len(s)]]
+
+    def test_worker_that_imported_another_package_is_not_used(self, fresh_pool, monkeypatch):
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "2")
+        monkeypatch.setattr(_pool, "_PACKAGE_FILE", "/elsewhere/lrdforecast/__init__.py")
+        deadline = time.monotonic() + 120
+        fresh_pool.ready(1)  # launches the worker
+        while fresh_pool._usable:
+            assert time.monotonic() < deadline, "worker did not start"
+            time.sleep(0.05)
+            assert fresh_pool.ready(1) == []
+        assert fresh_pool._workers == []
+
+    def test_worker_that_ends_before_it_reports_is_not_launched_again(
+            self, fresh_pool, monkeypatch, tmp_path):
+        # as a worker that cannot import lrdforecast: it ends at once
+        fake = tmp_path / "python"
+        fake.write_text("#!/bin/sh\necho 'no module named lrdforecast' >&2\nexit 1\n")
+        fake.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(fake))
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "2")
+        launched, real = [], _pool.Pool._launch
+        monkeypatch.setattr(_pool.Pool, "_launch",
+                            staticmethod(lambda: launched.append(1) or real()))
+        s = self._series()
+        serial = evaluation._score_origins(s, s, self.CONFIG, self.ORIGINS)
+        for _ in range(3):
+            out = _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS)
+            _same_outcomes(serial, out)
+            for w in fresh_pool._workers:
+                w.proc.wait()
+        assert launched == [1]
+        assert not fresh_pool._usable and fresh_pool._workers == []
+
+    def test_output_printed_at_worker_start_does_not_reach_the_replies(
+            self, fresh_pool, monkeypatch, tmp_path, capfd):
+        # a sitecustomize on the worker's path prints before lrdforecast
+        # is imported; it shows on standard error
+        (tmp_path / "sitecustomize.py").write_text("print('hello from start-up')\n")
+        monkeypatch.setattr(sys, "path", [str(tmp_path), *sys.path])
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "2")
+        deadline = time.monotonic() + 120
+        while not fresh_pool.ready(1):
+            assert fresh_pool._usable, "worker was given up"
+            assert time.monotonic() < deadline, "worker did not start"
+            time.sleep(0.05)
+        s = self._series()
+        sent = _spied_tasks(monkeypatch)
+        out = _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS)
+        _same_outcomes(evaluation._score_origins(s, s, self.CONFIG, self.ORIGINS), out)
+        assert sent and fresh_pool._usable
+        assert "hello from start-up" in capfd.readouterr().err
+
+    def test_unguarded_script_runs_once_and_reaps_its_workers(self, tmp_path):
+        # demo 03 calls rolling_cv at top level without a __main__ guard
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+        serial = subprocess.run([sys.executable, str(DEMO_03)], capture_output=True, text=True,
+                                env={**env, "LRDFORECAST_WORKERS": "1"}, cwd=tmp_path,
+                                check=True, timeout=300)
+        run_demo = (
+            "import runpy, sys\n"
+            "from lrdforecast import _pool\n"
+            "runpy.run_path(sys.argv[1], run_name='__main__')\n"
+            "print('worker pids:', *(w.proc.pid for w in _pool.POOL._workers), file=sys.stderr)\n"
+        )
+        par = subprocess.run([sys.executable, "-c", run_demo, str(DEMO_03)], capture_output=True,
+                             text=True, env={**env, "LRDFORECAST_WORKERS": "2"}, cwd=tmp_path,
+                             check=True, timeout=300)
+        assert par.stdout == serial.stdout
+        (line,) = [x for x in par.stderr.splitlines() if x.startswith("worker pids:")]
+        pids = [int(x) for x in line.split(":")[1].split()]
+        assert len(pids) == 1
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 def _per_window_errors(series, cfg):

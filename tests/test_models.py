@@ -736,6 +736,17 @@ class TestForecast:
         walk = generate(GenSpec(kind="random_walk", n=n, seed=23, offset=500.0)).values
         return TimeSeries(walk if kind == "walk" else np.cumsum(walk))
 
+    def test_interval_quantile_is_norm_ppf(self):
+        # forecast takes its interval quantile from scipy.special.ndtri;
+        # it must be the value scipy.stats.norm.ppf returns, bit for bit
+        from scipy.special import ndtri
+        from scipy.stats import norm
+
+        levels = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 100_001),
+                                 [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1e-12, 1 - 1e-12]])
+        q = 0.5 + levels / 2.0
+        assert np.array_equal(ndtri(q), norm.ppf(q))
+
     @pytest.mark.parametrize("n", [96, 2000])
     @pytest.mark.parametrize("kind, family, d", [
         ("arma", "arima", 0), ("walk", "arima", 1), ("walk2", "arima", 2),
