@@ -73,12 +73,11 @@ from .series import (
     TimeSeries,
     TransformSpec,
     acf,
-    difference,
     ingest_csv,
     inverse_transform,
     transform,
     write_csv,
 )
-from .synthgen import GenSpec, generate, theoretical_acf_arfima0d0
+from .synthgen import GenSpec, generate
 
 __version__ = "0.1.0"

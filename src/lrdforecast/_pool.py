@@ -14,11 +14,13 @@ compute, the caller included; unset, it is the number of usable cores, and
 1 runs everything in the caller. The old name ``LRDFORECAST_THREADS`` is
 still read.
 
-Workers are plain ``python -m lrdforecast._worker`` subprocesses joined by
-pipes, not multiprocessing children: multiprocessing's spawn and
-forkserver methods re-run the caller's ``__main__``, so a script that calls
-``rolling_cv`` at top level without a ``__main__`` guard would run again in
-every worker. A worker takes about 1.7 s to import numpy and scipy, so no
+Workers are plain ``python -m lrdforecast._worker`` subprocesses, not
+multiprocessing children: multiprocessing's spawn and forkserver methods
+re-run the caller's ``__main__``, so a script that calls ``rolling_cv`` at
+top level without a ``__main__`` guard would run again in every worker.
+Each worker talks to the caller over one duplex ``multiprocessing``
+channel, a socket pair: tasks go one way and replies the other, each one
+pickled message. A worker takes about 1.7 s to import numpy and scipy, so no
 call waits for one: the first call with at least two items launches up to
 one fewer workers than it has items, and a worker that reports ready while
 a call runs is handed part of what the caller has left of it. Workers are
@@ -28,10 +30,9 @@ killed and reaped at exit.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
-import pickle
 import select
-import struct
 import sys
 import threading
 
@@ -41,7 +42,6 @@ WORKERS_ENV = "LRDFORECAST_WORKERS"
 LEGACY_WORKERS_ENV = "LRDFORECAST_THREADS"
 
 _PACKAGE_FILE = os.path.realpath(os.path.join(os.path.dirname(__file__), "__init__.py"))
-_HEADER = struct.Struct("<Q")
 
 
 def worker_count() -> int:
@@ -59,30 +59,6 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def write_frame(stream, obj) -> None:
-    """Write obj, pickled and length-prefixed, to an unbuffered binary stream."""
-    data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    view = memoryview(_HEADER.pack(len(data)) + data)
-    while view:
-        view = view[stream.write(view):]
-
-
-def read_frame(stream):
-    """Read one object that write_frame wrote; EOFError at end of stream."""
-    (size,) = _HEADER.unpack(_read_exact(stream, _HEADER.size))
-    return pickle.loads(_read_exact(stream, size))
-
-
-def _read_exact(stream, size: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < size:
-        chunk = stream.read(size - len(buf))
-        if not chunk:
-            raise EOFError("worker pipe closed")
-        buf += chunk
-    return bytes(buf)
-
-
 def call_shard(fn, args, items) -> tuple:
     """(True, fn(*args, items)), or (False, exception) if it raised."""
     try:
@@ -91,28 +67,22 @@ def call_shard(fn, args, items) -> tuple:
         return False, exc
 
 
-def _in_multiprocessing_child() -> bool:
-    mp = sys.modules.get("multiprocessing")  # not imported: not a child
-    return mp is not None and mp.parent_process() is not None
-
-
 class _Worker:
-    """One worker interpreter: its process, the read end of its reply pipe,
+    """One worker interpreter: its process, the caller's end of its channel,
     and whether it has reported which lrdforecast it imported."""
 
-    def __init__(self, proc, replies):
+    def __init__(self, proc, conn):
         self.proc = proc
-        self.replies = replies
+        self.conn = conn
         self.ready = False
 
     def fileno(self) -> int:  # for select
-        return self.replies.fileno()
+        return self.conn.fileno()
 
     def close(self) -> None:
         self.proc.kill()
         self.proc.wait()
-        self.proc.stdin.close()
-        self.replies.close()
+        self.conn.close()
 
 
 class Pool:
@@ -124,7 +94,7 @@ class Pool:
         self._pid = os.getpid()
         self._lock = threading.Lock()  # one dispatch at a time
         self._workers: list[_Worker] = []
-        # False without pipes select can poll, without an interpreter to
+        # False without sockets select can poll, without an interpreter to
         # start, or once a worker ended before it reported ready or
         # imported another lrdforecast
         self._usable = os.name == "posix" and bool(sys.executable)
@@ -138,7 +108,8 @@ class Pool:
         worker that died has its block computed again here."""
         want = min(worker_count() - 1, len(items) - 1)
         if (want < 1 or os.getpid() != self._pid
-                or _in_multiprocessing_child() or not self._lock.acquire(blocking=False)):
+                or multiprocessing.parent_process() is not None
+                or not self._lock.acquire(blocking=False)):
             return fn(*args, items)
         try:
             return self._dispatch(fn, args, items, want)
@@ -167,7 +138,7 @@ class Pool:
                     start, stop, hi = hi - size, hi, hi - size
                     busy[w] = start, stop
                     try:
-                        write_frame(w.proc.stdin, (fn, args, items[start:stop]))
+                        w.conn.send((fn, args, items[start:stop]))
                     except OSError:  # died since it reported ready
                         del busy[w]
                         self._drop(w)
@@ -194,7 +165,7 @@ class Pool:
         """The worker's next message, or None if it cannot be read (the
         worker is dropped)."""
         try:
-            return read_frame(w.replies)
+            return w.conn.recv()
         except Exception:  # whatever the cause, its block is computed here
             self._drop(w)
             return None
@@ -221,27 +192,26 @@ class Pool:
 
     @staticmethod
     def _launch() -> _Worker:
-        """Start a worker. It replies on a pipe of its own; its standard
-        output is the caller's standard error, so nothing it prints, even
-        while importing, reaches the replies. In a session of its own, it
-        does not get the terminal's interrupts: the caller handles those,
-        and kills it."""
+        """Start a worker, its end of the channel its one argument. Its
+        standard input is empty and its standard output is the caller's
+        standard error, so nothing it prints, even while importing, reaches
+        the channel. In a session of its own, it does not get the
+        terminal's interrupts: the caller handles those, and kills it."""
         import subprocess
 
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        replies, reply_end = os.pipe()
-        try:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "lrdforecast._worker", str(reply_end)],
-                stdin=subprocess.PIPE, stdout=2, pass_fds=(reply_end,), bufsize=0,
-                start_new_session=True, env=env)
-        except BaseException:
-            os.close(replies)
-            raise
-        finally:
-            os.close(reply_end)
-        return _Worker(proc, os.fdopen(replies, "rb", buffering=0))
+        conn, theirs = multiprocessing.Pipe()
+        with theirs:
+            try:
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "lrdforecast._worker", str(theirs.fileno())],
+                    stdin=subprocess.DEVNULL, stdout=2, pass_fds=(theirs.fileno(),),
+                    start_new_session=True, env=env)
+            except BaseException:
+                conn.close()
+                raise
+        return _Worker(proc, conn)
 
     def _check_in(self, w: _Worker) -> None:
         """Read a starting worker's ready message: the realpath of the

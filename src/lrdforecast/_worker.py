@@ -1,22 +1,22 @@
 """A worker interpreter of lrdforecast's pool:
 ``python -m lrdforecast._worker FD``, where FD is the file descriptor of
-the pipe it replies on.
+its end of the channel to the caller (see ``_pool``).
 
-It first writes the realpath of the lrdforecast it imported to FD, then
-reads ``(fn, args, items)`` tasks from its standard input and writes
-``(True, fn(*args, items))`` or ``(False, exception)`` for each, every
-message a length-prefixed pickle (see ``_pool``). It exits at the end of
-its input. Its standard output is not a channel of the pool, so what it
-prints cannot corrupt the replies. The package never imports this module.
+It first sends the realpath of the lrdforecast it imported, then receives
+``(fn, args, items)`` tasks and sends ``(True, fn(*args, items))`` or
+``(False, exception)`` for each. It exits when the caller closes the
+channel. Its standard output is not the channel, so what it prints cannot
+corrupt the replies. The package never imports this module.
 """
 
 import os
 import pickle
 import sys
 import traceback
+from multiprocessing.connection import Connection
 
 import lrdforecast
-from lrdforecast._pool import call_shard, read_frame, write_frame
+from lrdforecast._pool import call_shard
 
 
 def _sendable(exc: Exception) -> Exception:
@@ -33,18 +33,13 @@ def _sendable(exc: Exception) -> Exception:
 
 
 def main() -> None:
-    tasks = sys.stdin.buffer.raw
-    with os.fdopen(int(sys.argv[1]), "wb", buffering=0) as replies:
+    with Connection(int(sys.argv[1])) as conn:
         try:
-            write_frame(replies, os.path.realpath(lrdforecast.__file__))
+            conn.send(os.path.realpath(lrdforecast.__file__))
             while True:
-                try:
-                    fn, args, items = read_frame(tasks)
-                except EOFError:
-                    return
-                ok, value = call_shard(fn, args, items)
-                write_frame(replies, (ok, value if ok else _sendable(value)))
-        except BrokenPipeError:  # the caller is gone
+                ok, value = call_shard(*conn.recv())
+                conn.send((ok, value if ok else _sendable(value)))
+        except (EOFError, ConnectionError):  # the caller is gone
             return
 
 

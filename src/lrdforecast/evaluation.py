@@ -102,10 +102,6 @@ class CvReport:
     config: CvConfig
     excluded_origins: tuple = ()
 
-    @property
-    def total_experiments(self) -> int:
-        return sum(m.count * self.config.max_horizon for m in self.per_method.values())
-
     @cached_property
     def improvements(self) -> dict:
         """Improvement of b over a for each ordered pair (a, b) of methods;

@@ -1,5 +1,5 @@
-"""Time-series container, CSV ingestion, Box-Cox transforms, differencing,
-and the sample autocorrelation function."""
+"""Time-series container, CSV ingestion, Box-Cox transforms and the sample
+autocorrelation function."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from .errors import (
     LagTooLarge,
     MalformedInput,
     NonPositiveValue,
-    SeriesTooShort,
     ZeroVariance,
 )
 
@@ -296,19 +295,6 @@ def inverse_transform(series: TimeSeries) -> TimeSeries:
         raise MalformedInput("series carries no transform")
     raw = inv_boxcox(series.values, spec.lmbda)
     return dataclasses.replace(series, values=raw, transform=None)
-
-
-def difference(series: TimeSeries, order: int) -> TimeSeries:
-    """Integer differencing (1 - B)**order; order 0 is the identity."""
-    if order < 0 or int(order) != order:
-        raise MalformedInput("differencing order must be a non-negative integer")
-    order = int(order)
-    if len(series) <= order:
-        raise SeriesTooShort(f"need more than {order} observations to difference")
-    out = np.diff(series.values, n=order) if order else series.values.copy()
-    return dataclasses.replace(
-        series, values=out, start_time=series.start_time + order * series.interval
-    )
 
 
 def acf(series: TimeSeries, max_lag: int) -> AcfResult:

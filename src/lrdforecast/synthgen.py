@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidD, InvalidSpec, NonEmbeddableCovariance
+from .errors import InvalidSpec, NonEmbeddableCovariance
 from .operators import admissible, integrate
 from .series import TimeSeries
 
@@ -128,19 +128,3 @@ def generate(spec: GenSpec) -> TimeSeries:
     x = x + spec.offset
     label = spec.label or f"{spec.kind}-n{spec.n}-seed{spec.seed}"
     return TimeSeries(x, start_time=0.0, interval=spec.interval, label=label)
-
-
-def theoretical_acf_arfima0d0(d: float, max_lag: int) -> np.ndarray:
-    """Exact autocorrelations of the pure fractional-noise process.
-
-    rho(k) = rho(k-1) * (k-1+d) / (k-d) with rho(0) = 1; the sequence
-    decays like k**(2d-1), the defining power law of long memory.
-    """
-    if not -0.5 < d < 0.5:
-        raise InvalidD("theoretical ACF needs d in (-0.5, 0.5)")
-    if max_lag < 0:
-        raise InvalidD("max_lag must be non-negative")
-    if max_lag == 0:
-        return np.ones(1)
-    k = np.arange(1, max_lag + 1, dtype=float)
-    return np.concatenate(([1.0], np.cumprod((k - 1 + d) / (k - d))))

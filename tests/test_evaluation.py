@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +37,11 @@ from lrdforecast import (
     mae,
     mape,
     rolling_cv,
-    theoretical_acf_arfima0d0,
     transform,
 )
 import lrdforecast.evaluation as evaluation
 from lrdforecast import _pool
+from oracles import theoretical_acf_arfima0d0
 
 DEMO_03 = Path(__file__).resolve().parent.parent / "demos" / "03_rolling_comparison.py"
 
@@ -128,7 +129,6 @@ class TestRollingCv:
             assert ms.count == expected_origins
             assert ms.errors.shape == (expected_origins, 4)
             assert ms.mape.shape == (4,)
-        assert rep.total_experiments == 2 * expected_origins * 4
 
     def test_config_too_large(self):
         s = generate(GenSpec(kind="white_noise", n=20, seed=0, offset=50.0))
@@ -276,15 +276,34 @@ class TestRollingCv:
 
 
 def _spied_tasks(monkeypatch) -> list:
-    """Record each task the pool sends: (the worker's pipe, its items)."""
-    sent, real = [], _pool.write_frame
+    """Record each task the pool sends: (the worker's channel, its items)."""
+    sent, real = [], Connection.send
 
-    def spy(stream, obj):
-        sent.append((stream, list(obj[2])))
-        real(stream, obj)
+    def spy(conn, obj):
+        sent.append((conn, list(obj[2])))
+        real(conn, obj)
 
-    monkeypatch.setattr(_pool, "write_frame", spy)
+    monkeypatch.setattr(Connection, "send", spy)
     return sent
+
+
+class _Unrebuildable(Exception):
+    """Pickles, but does not unpickle: its two arguments are kept as one."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} and {second}")
+
+
+def _raise_past_first(picklable, items):
+    """items, or an exception if they hold anything but 0: the pool hands
+    the caller item 0, so only a worker raises."""
+    if items != [0]:
+        raise ValueError("past the first") if picklable else _Unrebuildable("past", "first")
+    return items
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
 
 
 def _same_outcomes(a, b):
@@ -391,6 +410,40 @@ class TestParallelOrigins:
         with pytest.raises(ValueError, match="broadcast"):
             _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), [96, len(s)])
         assert [items for _, items in sent] == [[len(s)]]
+
+    def test_worker_exception_that_does_not_unpickle_arrives_as_runtime_error(
+            self, workers, monkeypatch):
+        workers(2)
+        sent = _spied_tasks(monkeypatch)
+        with pytest.raises(RuntimeError, match="in an lrdforecast worker") as info:
+            _pool.map_shards(_raise_past_first, (False,), [0, 1])
+        assert [items for _, items in sent] == [[1]]
+        assert "Traceback" in str(info.value)
+        assert "_Unrebuildable: past and first" in str(info.value)
+
+    def test_picklable_worker_exception_arrives_as_itself_with_a_note(
+            self, workers, monkeypatch):
+        workers(2)
+        sent = _spied_tasks(monkeypatch)
+        with pytest.raises(ValueError, match="past the first") as info:
+            _pool.map_shards(_raise_past_first, (True,), [0, 1])
+        assert [items for _, items in sent] == [[1]]
+        (note,) = info.value.__notes__
+        assert note.startswith("in an lrdforecast worker:\nTraceback")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_descriptor_outlives_a_worker(self, fresh_pool, monkeypatch):
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "2")
+        before = _open_fds()
+        fresh_pool.ready(1)  # launches the worker
+        (w,) = fresh_pool._workers  # held, so only close() can close its end
+        fresh_pool.close()
+        assert w.proc.returncode is not None and _open_fds() == before
+        # a launch that fails turns the pool off, and leaves nothing open
+        monkeypatch.setattr(sys, "executable", "/nonexistent/python")
+        fresh_pool.ready(1)
+        assert not fresh_pool._usable and fresh_pool._workers == []
+        assert _open_fds() == before
 
     def test_worker_that_imported_another_package_is_not_used(self, fresh_pool, monkeypatch):
         monkeypatch.setenv("LRDFORECAST_WORKERS", "2")

@@ -20,12 +20,10 @@ from lrdforecast import (
     LagTooLarge,
     MalformedInput,
     NonPositiveValue,
-    SeriesTooShort,
     TimeSeries,
     TransformSpec,
     ZeroVariance,
     acf,
-    difference,
     ingest_csv,
     inverse_transform,
     transform,
@@ -404,31 +402,6 @@ class TestTransform:
     def test_inverse_requires_applied_transform(self):
         with pytest.raises(MalformedInput):
             inverse_transform(TimeSeries(np.array([1.0, 2.0])))
-
-
-class TestDifference:
-    def test_first_differences(self):
-        out = difference(TimeSeries(np.array([1.0, 4.0, 9.0, 16.0])), 1)
-        np.testing.assert_array_equal(out.values, [3, 5, 7])
-
-    def test_second_differences(self):
-        out = difference(TimeSeries(np.array([1.0, 4.0, 9.0, 16.0])), 2)
-        np.testing.assert_array_equal(out.values, [2, 2])
-
-    def test_order_zero_is_identity(self):
-        out = difference(TimeSeries(np.array([7.0, 7.0])), 0)
-        np.testing.assert_array_equal(out.values, [7, 7])
-
-    def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
-            difference(TimeSeries(np.array([1.0, 2.0])), 2)
-
-    def test_linear_ramp(self):
-        ramp = TimeSeries(np.arange(20.0) * 3.0 + 1.0)
-        d1 = difference(ramp, 1)
-        assert np.ptp(d1.values) == 0
-        d2 = difference(ramp, 2)
-        np.testing.assert_array_equal(d2.values, np.zeros(18))
 
 
 class TestAcf:

@@ -12,9 +12,11 @@ from lrdforecast import (
     acf,
     classify_memory,
     generate,
-    theoretical_acf_arfima0d0,
 )
 from lrdforecast.operators import arpoly, fracdiff_weights, mapoly
+
+# TestTheoreticalAcf, the oracle's own tests, is collected here
+from oracles import TestTheoreticalAcf, theoretical_acf_arfima0d0  # noqa: F401
 
 
 class TestSpecValidation:
@@ -153,23 +155,6 @@ class TestReferenceConstruction:
     def test_bit_identical_to_reference(self, kw, n):
         spec = GenSpec(n=n, seed=n, **kw)
         np.testing.assert_array_equal(generate(spec).values, _reference_generate(spec))
-
-
-class TestTheoreticalAcf:
-    def test_d_zero_is_white(self):
-        np.testing.assert_array_equal(theoretical_acf_arfima0d0(0.0, 10)[1:], np.zeros(10))
-
-    def test_first_lag_closed_form(self):
-        rho = theoretical_acf_arfima0d0(0.3, 1)
-        assert rho[1] == pytest.approx(0.3 / 0.7)
-
-    def test_power_law_tail(self):
-        # log rho(k) vs log k slope tends to 2d - 1
-        d = 0.35
-        rho = theoretical_acf_arfima0d0(d, 1000)
-        k = np.arange(100, 1001)
-        slope = np.polyfit(np.log(k), np.log(rho[100:]), 1)[0]
-        assert slope == pytest.approx(2 * d - 1, abs=0.02)
 
 
 class TestMemoryBridge:
