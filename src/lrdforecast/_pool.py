@@ -10,21 +10,26 @@ ready.
 
 One pool serves the whole process (``rolling_cv``, and through it the
 ``crossval`` command). ``LRDFORECAST_WORKERS`` counts the processes that
-compute, the caller included; unset, it is the number of usable cores, and
-1 runs everything in the caller. The old name ``LRDFORECAST_THREADS`` is
-still read.
+compute, the caller included; unset, it is the number of usable cores,
+capped by the cgroup's CPU quota, and 1 runs everything in the caller. The
+old name ``LRDFORECAST_THREADS`` is still read.
 
 Workers are plain ``python -m lrdforecast._worker`` subprocesses, not
-multiprocessing children: multiprocessing's spawn and forkserver methods
-re-run the caller's ``__main__``, so a script that calls ``rolling_cv`` at
-top level without a ``__main__`` guard would run again in every worker.
-Each worker talks to the caller over one duplex ``multiprocessing``
-channel, a socket pair: tasks go one way and replies the other, each one
-pickled message. A worker takes about 1.7 s to import numpy and scipy, so no
-call waits for one: the first call with at least two items launches up to
-one fewer workers than it has items, and a worker that reports ready while
-a call runs is handed part of what the caller has left of it. Workers are
-killed and reaped at exit.
+multiprocessing children, whose spawn and forkserver methods re-run the
+caller's ``__main__``: a script that calls ``rolling_cv`` unguarded would
+run again in every worker. Each talks to the caller over one duplex
+``multiprocessing`` channel, a socket pair, one pickled message per task
+or reply. A worker takes about 1.7 s to import numpy and scipy, so no call
+waits for one: the first call with at least two items launches up to one
+fewer workers than it has items, and a worker that reports ready while a
+call runs is handed part of what the caller has left of it.
+
+The channel is the only way the caller learns that a worker failed: a
+worker replies, or the caller computes its block. A worker that ended, or
+whose reply does not unpickle, is dropped and its block computed here, so
+an exception raised in a block reaches the caller as itself for any number
+of workers. Only an end, or another lrdforecast, before a worker reports
+ready turns the pool off. Workers are killed at exit.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import os
 import select
 import sys
 import threading
+from pathlib import Path
 
 from .errors import MalformedInput
 
@@ -42,21 +48,38 @@ WORKERS_ENV = "LRDFORECAST_WORKERS"
 LEGACY_WORKERS_ENV = "LRDFORECAST_THREADS"
 
 _PACKAGE_FILE = os.path.realpath(os.path.join(os.path.dirname(__file__), "__init__.py"))
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 def worker_count() -> int:
     """Processes that compute, the caller included, from LRDFORECAST_WORKERS,
-    else LRDFORECAST_THREADS, else the usable cores. An empty value counts
-    as unset; any other value must be an integer >= 1."""
+    else LRDFORECAST_THREADS, else the usable cores capped by the cgroup's
+    CPU quota. An empty value counts as unset; any other value must be an
+    integer >= 1."""
     for name in (WORKERS_ENV, LEGACY_WORKERS_ENV):
         text = os.environ.get(name)
         if text:
             if not text.strip().isdecimal() or int(text) < 1:
                 raise MalformedInput(f"{name} must be an integer >= 1, got {text!r}")
             return int(text)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(cores, _cpu_quota() or cores)
+
+
+def _cpu_quota() -> int | None:
+    """The cgroup's CPU quota in whole CPUs, rounded up, from cgroup v2's
+    cpu.max, else v1's CFS quota and period; None for no quota ("max" or
+    -1) or a file that cannot be read."""
+    for names in (["cpu.max"], ["cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"]):
+        try:
+            text = " ".join(Path(_CGROUP_ROOT, n).read_text() for n in names)
+            quota, period = map(int, text.split())
+        except (OSError, ValueError):  # unreadable, or "max"
+            continue
+        if quota > 0 and period > 0:
+            return -(-quota // period)
+    return None
 
 
 def call_shard(fn, args, items) -> tuple:
@@ -72,9 +95,7 @@ class _Worker:
     and whether it has reported which lrdforecast it imported."""
 
     def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
-        self.ready = False
+        self.proc, self.conn, self.ready = proc, conn, False
 
     def fileno(self) -> int:  # for select
         return self.conn.fileno()
@@ -94,9 +115,8 @@ class Pool:
         self._pid = os.getpid()
         self._lock = threading.Lock()  # one dispatch at a time
         self._workers: list[_Worker] = []
-        # False without sockets select can poll, without an interpreter to
-        # start, or once a worker ended before it reported ready or
-        # imported another lrdforecast
+        # False without sockets select can poll or an interpreter to
+        # start, or once a worker failed to check in
         self._usable = os.name == "posix" and bool(sys.executable)
         atexit.register(self.close)
 
@@ -105,7 +125,7 @@ class Pool:
         contiguous blocks by the caller and the ready workers and joined in
         item order. fn must be importable by name. If a block raised, the
         first such exception in item order is raised once all are in; a
-        worker that died has its block computed again here."""
+        worker that does not reply has its block computed here."""
         want = min(worker_count() - 1, len(items) - 1)
         if (want < 1 or os.getpid() != self._pid
                 or multiprocessing.parent_process() is not None
@@ -139,10 +159,8 @@ class Pool:
                     busy[w] = start, stop
                     try:
                         w.conn.send((fn, args, items[start:stop]))
-                    except OSError:  # died since it reported ready
-                        del busy[w]
-                        self._drop(w)
-                        blocks[start] = call_shard(fn, args, items[start:stop])
+                    except OSError:  # it ended: finish computes the block
+                        pass
                 blocks[lo] = call_shard(fn, args, items[lo:lo + 1])
                 lo += 1
                 if not blocks[lo - 1][0]:
@@ -162,8 +180,8 @@ class Pool:
         return out
 
     def _reply(self, w):
-        """The worker's next message, or None if it cannot be read (the
-        worker is dropped)."""
+        """The worker's next message, or None, and the worker dropped, if it
+        ended or the message does not unpickle."""
         try:
             return w.conn.recv()
         except Exception:  # whatever the cause, its block is computed here
@@ -172,17 +190,16 @@ class Pool:
 
     def ready(self, want: int, busy=()) -> list:
         """The ready workers not in ``busy``, at most ``want`` less the
-        busy ones. Launches workers up to ``want`` in all without waiting
-        for them, and drops dead ones; one that ended before it reported
-        ready stops all further launches."""
-        starting = [w for w in self._workers if not w.ready]
-        if starting:
-            for w in select.select(starting, [], [], 0)[0]:  # a message or an end
-                self._check_in(w)
-        for w in [w for w in self._workers if w not in busy and w.proc.poll() is not None]:
-            if not w.ready:  # ended since the select: it never reported
-                self._usable = False
-            self._drop(w)
+        busy ones; launches workers up to ``want`` in all without waiting
+        for them. Any other worker that can be read from has checked in or
+        ended: an end, or another lrdforecast, before check-in turns the
+        pool off; a ready worker that ended is dropped."""
+        for w in select.select([w for w in self._workers if w not in busy], [], [], 0)[0]:
+            if w.ready or self._reply(w) != _PACKAGE_FILE:
+                self._usable = self._usable and w.ready
+                self._drop(w)
+            else:
+                w.ready = True
         while self._usable and len(self._workers) < want:
             try:
                 self._workers.append(self._launch())
@@ -212,16 +229,6 @@ class Pool:
                 conn.close()
                 raise
         return _Worker(proc, conn)
-
-    def _check_in(self, w: _Worker) -> None:
-        """Read a starting worker's ready message: the realpath of the
-        lrdforecast it imported. If it ended first, or imported another
-        file, it is dropped and no worker is launched again."""
-        if self._reply(w) == _PACKAGE_FILE:
-            w.ready = True
-        else:
-            self._usable = False
-            self._drop(w)
 
     def _drop(self, w: _Worker) -> None:
         if w in self._workers:

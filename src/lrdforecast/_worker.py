@@ -4,13 +4,14 @@ its end of the channel to the caller (see ``_pool``).
 
 It first sends the realpath of the lrdforecast it imported, then receives
 ``(fn, args, items)`` tasks and sends ``(True, fn(*args, items))`` or
-``(False, exception)`` for each. It exits when the caller closes the
-channel. Its standard output is not the channel, so what it prints cannot
-corrupt the replies. The package never imports this module.
+``(False, exception)`` for each, the exception with the worker's traceback
+as a note. A reply that cannot be pickled ends the worker, and the caller
+computes that block itself. It exits when the caller closes the channel.
+Its standard output is not the channel, so what it prints cannot corrupt
+the replies. The package never imports this module.
 """
 
 import os
-import pickle
 import sys
 import traceback
 from multiprocessing.connection import Connection
@@ -19,26 +20,16 @@ import lrdforecast
 from lrdforecast._pool import call_shard
 
 
-def _sendable(exc: Exception) -> Exception:
-    """exc with the worker's traceback as a note, or a RuntimeError with
-    its text if exc does not survive pickling."""
-    text = "".join(traceback.format_exception(exc))
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"in an lrdforecast worker:\n{text}")
-    if hasattr(exc, "add_note"):
-        exc.add_note(f"in an lrdforecast worker:\n{text}")
-    return exc
-
-
 def main() -> None:
     with Connection(int(sys.argv[1])) as conn:
         try:
             conn.send(os.path.realpath(lrdforecast.__file__))
             while True:
                 ok, value = call_shard(*conn.recv())
-                conn.send((ok, value if ok else _sendable(value)))
+                if not ok:
+                    text = "".join(traceback.format_exception(value))
+                    value.add_note(f"in an lrdforecast worker:\n{text}")
+                conn.send((ok, value))
         except (EOFError, ConnectionError):  # the caller is gone
             return
 

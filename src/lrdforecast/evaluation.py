@@ -139,13 +139,22 @@ def _mean_abs(a: np.ndarray) -> np.ndarray:
     return np.abs(a).mean(axis=0)
 
 
+def _errors(actual: np.ndarray, forecast_values: np.ndarray) -> tuple:
+    """actual - forecast, and that in percent of the actual: the arithmetic
+    of mae, mape and every report. The percentage is inf or NaN where the
+    actual is 0, which mape rejects and mae does not read."""
+    e = actual - forecast_values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e, 100.0 * e / actual
+
+
 def mae(actual, forecast_values) -> float:
     """Mean absolute error."""
     actual = np.asarray(actual, dtype=float)
     forecast_values = np.asarray(forecast_values, dtype=float)
     if actual.shape != forecast_values.shape:
         raise LengthMismatch("actual and forecast lengths differ")
-    return float(np.mean(np.abs(actual - forecast_values)))
+    return float(np.mean(np.abs(_errors(actual, forecast_values)[0])))
 
 
 def mape(actual, forecast_values) -> float:
@@ -156,7 +165,7 @@ def mape(actual, forecast_values) -> float:
         raise LengthMismatch("actual and forecast lengths differ")
     if np.any(actual == 0):
         raise ZeroActual("percentage error undefined for zero actuals")
-    return float(np.mean(np.abs(100.0 * (actual - forecast_values) / actual)))
+    return float(np.mean(np.abs(_errors(actual, forecast_values)[1])))
 
 
 def improvement(mape_baseline: float, mape_candidate: float) -> float:
@@ -237,11 +246,7 @@ def _score_origins(series: TimeSeries, scaled: TimeSeries, config: CvConfig, ori
         except (LrdForecastError, np.linalg.LinAlgError) as exc:
             out.append((origin, m, f"{type(exc).__name__}: {exc}"))
             continue
-        scores = {}
-        for m in config.methods:
-            e = actual - points[m]
-            scores[m] = (e, 100.0 * e / actual)
-        out.append(scores)
+        out.append({m: _errors(actual, points[m]) for m in config.methods})
     return out
 
 

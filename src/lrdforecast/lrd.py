@@ -248,9 +248,7 @@ def adf_test(series: TimeSeries) -> AdfResult:
     if rank < X.shape[1]:
         raise SingularRegression("collinear ADF design matrix")
     resid = resp - X @ coef
-    dof = rows - X.shape[1]
-    if dof <= 0:
-        raise SingularRegression("no degrees of freedom in ADF regression")
+    dof = rows - X.shape[1]  # n - 3 - 2k >= 6 for every n >= 25
     s2 = float(resid @ resid) / dof
     xtx_inv = np.linalg.inv(X.T @ X)
     se_phi = float(np.sqrt(s2 * xtx_inv[0, 0]))

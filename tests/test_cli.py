@@ -426,3 +426,27 @@ class TestCrossval:
 
     def test_no_subcommand(self, capsys):
         assert run() == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["forecast", "--model", "{tmp}/m.json", "--series", "{tmp}/s.csv",
+                  "--steps", "0", "--out", "{out}"], "--steps must be >= 1", id="steps-0"),
+    pytest.param(["forecast", "--model", "{tmp}/m.json", "--series", "{tmp}/s.csv",
+                  "--steps", "4", "--level", "1.5", "--out", "{out}"],
+                 "--level must lie in (0, 1)", id="level-1.5"),
+    pytest.param(["crossval", "{tmp}/empty", "--out-dir", "{out}"],
+                 "no .csv series in directory {tmp}/empty", id="empty-directory"),
+    pytest.param(["crossval", "{tmp}/absent.csv", "--out-dir", "{out}"],
+                 "input not found: {tmp}/absent.csv", id="missing-input"),
+    pytest.param(["simulate", "--kind", "arma", "--phi", "0.5,x", "--n", "10", "--out", "{out}"],
+                 "bad coefficient list '0.5,x'", id="bad-phi"),
+])
+def test_validation_error(tmp_path, capsys, argv, message):
+    (tmp_path / "s.csv").write_text("timestamp,value\n0,1.0\n")
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "out"
+    rc = run(*(a.format(tmp=tmp_path, out=out) for a in argv))
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "validation", "message": message.format(tmp=tmp_path)}
+    assert not out.exists()

@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from multiprocessing.connection import Connection
@@ -294,11 +295,33 @@ class _Unrebuildable(Exception):
         super().__init__(f"{first} and {second}")
 
 
-def _raise_past_first(picklable, items):
-    """items, or an exception if they hold anything but 0: the pool hands
-    the caller item 0, so only a worker raises."""
+class _Unsendable(Exception):
+    """Does not pickle: it holds a lock."""
+
+    def __init__(self):
+        super().__init__("holds a lock")
+        self.lock = threading.Lock()
+
+
+_PAST_FIRST = {"picklable": lambda: ValueError("past the first"),
+               "unrebuildable": lambda: _Unrebuildable("past", "first"),
+               "unsendable": _Unsendable}
+
+
+def _raise_past_first(kind, items):
+    """items, or an exception of that kind if they hold anything but 0: the
+    pool hands the caller item 0, so only a worker raises."""
     if items != [0]:
-        raise ValueError("past the first") if picklable else _Unrebuildable("past", "first")
+        raise _PAST_FIRST[kind]()
+    return items
+
+
+def _interrupt_first(items):
+    """A keyboard interrupt on item 0, which the caller computes; a long
+    sleep on any other block, which a worker computes."""
+    if items == [0]:
+        raise KeyboardInterrupt
+    time.sleep(60)
     return items
 
 
@@ -390,6 +413,34 @@ class TestParallelOrigins:
         _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS[:3])
         assert len(fresh_pool._workers) == 2
 
+    @pytest.mark.parametrize("files, count", [
+        ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 2),  # rounded up
+        ({"cpu.max": "max 100000\n"}, 64),
+        ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 64),
+        ({"cpu/cpu.cfs_quota_us": "100000\n"}, 64),  # no period to read
+        ({"cpu.max": None, "cpu/cpu.cfs_quota_us": "50000\n",  # cpu.max unreadable
+          "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+        ({}, 64),
+    ])
+    def test_default_worker_count_is_capped_by_the_cpu_quota(
+            self, monkeypatch, tmp_path, files, count):
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if text is None:  # a directory, which cannot be read as a file
+                path.mkdir()
+            else:
+                path.write_text(text)
+        monkeypatch.setattr(_pool, "_CGROUP_ROOT", str(tmp_path))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.delenv("LRDFORECAST_WORKERS", raising=False)
+        monkeypatch.delenv("LRDFORECAST_THREADS", raising=False)
+        assert _pool.worker_count() == count
+        monkeypatch.setenv("LRDFORECAST_WORKERS", "8")  # never capped
+        assert _pool.worker_count() == 8
+
     def test_killed_worker_shard_is_recomputed(self, workers):
         s = self._series()
         pool = workers(2)
@@ -401,6 +452,39 @@ class TestParallelOrigins:
         workers(1)
         _same_report(first, rolling_cv(s, self.CONFIG))
 
+    def test_worker_that_ended_before_its_task_is_sent_has_its_block_computed_here(
+            self, workers, monkeypatch):
+        # every worker ends between being seen ready and being sent a task:
+        # the send fails, and the caller computes the block
+        s = self._series()
+        serial = evaluation._score_origins(s, s, self.CONFIG, self.ORIGINS)
+        pool, real, ended = workers(2), _pool.Pool.ready, []
+
+        def ending(self, want, busy=()):
+            idle = real(self, want, busy)
+            for w in idle:
+                w.proc.kill()
+                w.proc.wait()
+                ended.append(w)
+            return idle
+
+        monkeypatch.setattr(_pool.Pool, "ready", ending)
+        sent = _spied_tasks(monkeypatch)
+        out = _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS)
+        _same_outcomes(serial, out)
+        assert ended and len(sent) == len(ended)
+        assert not any(w in pool._workers for w in ended)
+
+    def test_caller_exception_is_raised_first(self, workers, monkeypatch):
+        # the caller's first item is past the end: it stops there, and its
+        # exception comes first in item order
+        s = self._series()
+        workers(2)
+        sent = _spied_tasks(monkeypatch)
+        with pytest.raises(ValueError, match="broadcast"):
+            _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), [len(s), 96, 104])
+        assert [items for _, items in sent] == [[104]]
+
     def test_worker_exception_is_raised_in_caller(self, workers, monkeypatch):
         # an origin past the end leaves no actuals to score: numpy's
         # broadcasting error, raised in the worker that scores it
@@ -411,25 +495,48 @@ class TestParallelOrigins:
             _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), [96, len(s)])
         assert [items for _, items in sent] == [[len(s)]]
 
-    def test_worker_exception_that_does_not_unpickle_arrives_as_runtime_error(
-            self, workers, monkeypatch):
-        workers(2)
+    @staticmethod
+    def _raised_by_the_caller(workers, monkeypatch, kind, expected):
+        # no reply can be read, so the caller computes the worker's block
+        # and raises the exception itself, as with one process
+        pool = workers(2)
+        (w,) = pool.ready(1)
         sent = _spied_tasks(monkeypatch)
-        with pytest.raises(RuntimeError, match="in an lrdforecast worker") as info:
-            _pool.map_shards(_raise_past_first, (False,), [0, 1])
+        with pytest.raises(expected, match=str(_PAST_FIRST[kind]())) as info:
+            _pool.map_shards(_raise_past_first, (kind,), [0, 1])
         assert [items for _, items in sent] == [[1]]
-        assert "Traceback" in str(info.value)
-        assert "_Unrebuildable: past and first" in str(info.value)
+        assert not hasattr(info.value, "__notes__")
+        assert w not in pool._workers and w.proc.returncode is not None
+
+    def test_exception_that_does_not_unpickle_raises_in_caller(
+            self, workers, monkeypatch):
+        self._raised_by_the_caller(workers, monkeypatch, "unrebuildable", _Unrebuildable)
+
+    def test_exception_that_does_not_pickle_raises_in_caller(
+            self, workers, monkeypatch):
+        # the worker cannot send it, and ends
+        self._raised_by_the_caller(workers, monkeypatch, "unsendable", _Unsendable)
 
     def test_picklable_worker_exception_arrives_as_itself_with_a_note(
             self, workers, monkeypatch):
         workers(2)
         sent = _spied_tasks(monkeypatch)
         with pytest.raises(ValueError, match="past the first") as info:
-            _pool.map_shards(_raise_past_first, (True,), [0, 1])
+            _pool.map_shards(_raise_past_first, ("picklable",), [0, 1])
         assert [items for _, items in sent] == [[1]]
         (note,) = info.value.__notes__
         assert note.startswith("in an lrdforecast worker:\nTraceback")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_interrupt_drops_the_busy_worker(self, workers):
+        pool = workers(2)
+        (w,) = pool.ready(1)
+        before, start = _open_fds(), time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            _pool.map_shards(_interrupt_first, (), [0, 1])
+        assert time.monotonic() - start < 10
+        assert pool._workers == [] and w.proc.returncode is not None
+        assert _open_fds() == before - 1  # the worker's channel
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_no_descriptor_outlives_a_worker(self, fresh_pool, monkeypatch):
@@ -645,3 +752,21 @@ class TestAccuracyOracle:
         assert fitted.shape == oracle.shape == (self.SERIES * 20, 48)
         excess = 100.0 * (fitted.mean() / oracle.mean() - 1.0)
         assert excess <= self.MARGIN_PCT
+
+
+_ONES_WITH_A_ZERO = TimeSeries(np.r_[np.full(60, 5.0), 0.0, np.full(39, 5.0)])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: CvConfig(window=1), MalformedInput, "window", id="window"),
+    pytest.param(lambda: CvConfig(methods=()), MalformedInput, "at least one method",
+                 id="no-methods"),
+    pytest.param(lambda: CvConfig(level=1.0), MalformedInput, "level", id="level"),
+    pytest.param(lambda: aggregate_reports([]), MalformedInput, "no reports",
+                 id="aggregate-nothing"),
+    pytest.param(lambda: rolling_cv(_ONES_WITH_A_ZERO, _small_config(transform=None)),
+                 ZeroActual, "zero actuals", id="raw-scale-zero"),
+])
+def test_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

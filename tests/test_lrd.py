@@ -9,6 +9,7 @@ import pytest
 from lrdforecast import (
     GenSpec,
     LagTooLarge,
+    MalformedInput,
     SeriesTooShort,
     SingularRegression,
     TimeSeries,
@@ -301,3 +302,12 @@ class TestSeasonalDiagnostic:
         res = acf(TimeSeries(np.random.default_rng(1).standard_normal(100) + 5), 40)
         with pytest.raises(LagTooLarge):
             seasonal_peak_diagnostic(res, 24)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: seasonal_peak_diagnostic(acf(_wn(100, 0), 10), 1), MalformedInput,
+                 "daily_lag", id="daily-lag-1"),
+])
+def test_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

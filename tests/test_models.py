@@ -1005,3 +1005,27 @@ class TestTransformPropagation:
         model = fit_mean(s)
         clone = dataclasses.replace(model)
         np.testing.assert_array_equal(clone.history, model.history)
+
+
+_WHITE_NOISE = generate(GenSpec(kind="white_noise", n=100, seed=0, offset=50.0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: ModelSpec("ets"), MalformedInput, "unknown model family",
+                 id="spec-family"),
+    pytest.param(lambda: ModelSpec("arima", p=-1), MalformedInput, "non-negative",
+                 id="spec-orders"),
+    pytest.param(lambda: fit_arima(_WHITE_NOISE, max_q=-1), MalformedInput, "order bounds",
+                 id="arima-bounds"),
+    pytest.param(lambda: fit_arima(_WHITE_NOISE, max_d=3), MalformedInput, "order bounds",
+                 id="arima-max-d"),
+    pytest.param(lambda: fit_arfima(_WHITE_NOISE, max_p=-1), MalformedInput, "order bounds",
+                 id="arfima-bounds"),
+    pytest.param(lambda: forecast(fit_mean(_WHITE_NOISE), 0), MalformedInput, "horizon",
+                 id="forecast-h0"),
+    pytest.param(lambda: frac_diff_coeffs(0.3, length=0), MalformedInput, "length",
+                 id="coeffs-length0"),
+])
+def test_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

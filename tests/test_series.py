@@ -452,3 +452,16 @@ class TestAcf:
         assert res.lags.tolist() == list(range(8))
         assert res.rho.shape == (8,)
         assert res.gamma0 > 0
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: TimeSeries(np.ones((2, 3))), MalformedInput, "one-dimensional",
+                 id="two-dimensional"),
+    pytest.param(lambda: ingest_csv("series.csv", fill="zero"), MalformedInput,
+                 "unknown fill policy", id="unknown-fill"),
+    pytest.param(lambda: acf(TimeSeries(np.arange(1.0, 11.0)), -1), MalformedInput,
+                 "max_lag", id="negative-lag"),
+])
+def test_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -185,3 +185,14 @@ class TestSeriesMetadata:
         assert isinstance(s, TimeSeries)
         assert s.interval == 1800.0
         assert s.label == "white_noise-n16-seed0"
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: GenSpec(kind="white_noise", n=0), InvalidSpec, "n must be",
+                 id="n0"),
+    pytest.param(lambda: GenSpec(kind="white_noise", n=10, offset=-1.0), InvalidSpec,
+                 "offset", id="negative-offset"),
+])
+def test_typed_error(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
