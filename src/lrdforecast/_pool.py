@@ -11,18 +11,18 @@ ready.
 One pool serves the whole process (``rolling_cv``, and through it the
 ``crossval`` command). ``LRDFORECAST_WORKERS`` counts the processes that
 compute, the caller included; unset, it is the number of usable cores,
-capped by the cgroup's CPU quota, and 1 runs everything in the caller. The
-old name ``LRDFORECAST_THREADS`` is still read.
+capped by the cgroup's CPU quota, and 1 runs everything in the caller.
 
-Workers are plain ``python -m lrdforecast._worker`` subprocesses, not
+Workers are plain ``python -c`` subprocesses that run ``_serve``, not
 multiprocessing children, whose spawn and forkserver methods re-run the
 caller's ``__main__``: a script that calls ``rolling_cv`` unguarded would
 run again in every worker. Each talks to the caller over one duplex
 ``multiprocessing`` channel, a socket pair, one pickled message per task
-or reply. A worker takes about 1.7 s to import numpy and scipy, so no call
-waits for one: the first call with at least two items launches up to one
-fewer workers than it has items, and a worker that reports ready while a
-call runs is handed part of what the caller has left of it.
+or reply. A worker takes 1-1.3 s of CPU to import lrdforecast, two thirds
+of it scipy.signal's package, so no call waits for one: the first call
+with at least two items launches up to one fewer workers than it has
+items, and a worker that reports ready while a call runs is handed part
+of what the caller has left of it.
 
 The channel is the only way the caller learns that a worker failed: a
 worker replies, or the caller computes its block. A worker that ended, or
@@ -40,28 +40,27 @@ import os
 import select
 import sys
 import threading
+import traceback
 from pathlib import Path
 
 from .errors import MalformedInput
 
 WORKERS_ENV = "LRDFORECAST_WORKERS"
-LEGACY_WORKERS_ENV = "LRDFORECAST_THREADS"
 
 _PACKAGE_FILE = os.path.realpath(os.path.join(os.path.dirname(__file__), "__init__.py"))
 _CGROUP_ROOT = "/sys/fs/cgroup"
+_SERVE = "import sys; from lrdforecast._pool import _serve; _serve(int(sys.argv[1]))"
 
 
 def worker_count() -> int:
     """Processes that compute, the caller included, from LRDFORECAST_WORKERS,
-    else LRDFORECAST_THREADS, else the usable cores capped by the cgroup's
-    CPU quota. An empty value counts as unset; any other value must be an
-    integer >= 1."""
-    for name in (WORKERS_ENV, LEGACY_WORKERS_ENV):
-        text = os.environ.get(name)
-        if text:
-            if not text.strip().isdecimal() or int(text) < 1:
-                raise MalformedInput(f"{name} must be an integer >= 1, got {text!r}")
-            return int(text)
+    else the usable cores capped by the cgroup's CPU quota. An empty value
+    counts as unset; any other value must be an integer >= 1."""
+    text = os.environ.get(WORKERS_ENV)
+    if text:
+        if not text.strip().isdecimal() or int(text) < 1:
+            raise MalformedInput(f"{WORKERS_ENV} must be an integer >= 1, got {text!r}")
+        return int(text)
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     return min(cores, _cpu_quota() or cores)
@@ -82,12 +81,34 @@ def _cpu_quota() -> int | None:
     return None
 
 
-def call_shard(fn, args, items) -> tuple:
+def _call_shard(fn, args, items) -> tuple:
     """(True, fn(*args, items)), or (False, exception) if it raised."""
     try:
         return True, fn(*args, items)
     except Exception as exc:  # raised in the caller once every block is in
         return False, exc
+
+
+def _serve(fd: int) -> None:
+    """A worker's loop on its end of the channel, the descriptor fd. It
+    first sends the realpath of the lrdforecast it imported, then answers
+    each ``(fn, args, items)`` task with ``_call_shard``'s ``(ok, value)``,
+    an exception with the worker's traceback as a note. A reply that cannot
+    be pickled ends the worker, and the caller computes that block itself.
+    It returns when the caller closes the channel."""
+    from multiprocessing.connection import Connection
+
+    with Connection(fd) as conn:
+        try:
+            conn.send(_PACKAGE_FILE)
+            while True:
+                ok, value = _call_shard(*conn.recv())
+                if not ok:
+                    text = "".join(traceback.format_exception(value))
+                    value.add_note(f"in an lrdforecast worker:\n{text}")
+                conn.send((ok, value))
+        except (EOFError, ConnectionError):  # the caller is gone
+            return
 
 
 class _Worker:
@@ -144,7 +165,7 @@ class Pool:
         def finish(w):  # take w's reply, or compute its block here
             reply = self._reply(w)
             start, stop = busy.pop(w)
-            blocks[start] = reply or call_shard(fn, args, items[start:stop])
+            blocks[start] = reply or _call_shard(fn, args, items[start:stop])
 
         try:
             while lo < hi:
@@ -161,7 +182,7 @@ class Pool:
                         w.conn.send((fn, args, items[start:stop]))
                     except OSError:  # it ended: finish computes the block
                         pass
-                blocks[lo] = call_shard(fn, args, items[lo:lo + 1])
+                blocks[lo] = _call_shard(fn, args, items[lo:lo + 1])
                 lo += 1
                 if not blocks[lo - 1][0]:
                     break  # every later item is past this exception
@@ -209,11 +230,12 @@ class Pool:
 
     @staticmethod
     def _launch() -> _Worker:
-        """Start a worker, its end of the channel its one argument. Its
-        standard input is empty and its standard output is the caller's
-        standard error, so nothing it prints, even while importing, reaches
-        the channel. In a session of its own, it does not get the
-        terminal's interrupts: the caller handles those, and kills it."""
+        """Start a worker that runs _serve, its end of the channel its one
+        argument. Its standard input is empty and its standard output is
+        the caller's standard error, so nothing it prints, even while
+        importing, reaches the channel. In a session of its own, it does
+        not get the terminal's interrupts: the caller handles those, and
+        kills it."""
         import subprocess
 
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -222,7 +244,7 @@ class Pool:
         with theirs:
             try:
                 proc = subprocess.Popen(
-                    [sys.executable, "-m", "lrdforecast._worker", str(theirs.fileno())],
+                    [sys.executable, "-c", _SERVE, str(theirs.fileno())],
                     stdin=subprocess.DEVNULL, stdout=2, pass_fds=(theirs.fileno(),),
                     start_new_session=True, env=env)
             except BaseException:

@@ -152,7 +152,7 @@ def _fields(obj, *names) -> dict:
 def _analysis_doc(series: TimeSeries) -> dict:
     cls = classify_memory(series)
     adf = adf_test(series)
-    daily_lag = int(round(86400.0 / series.interval)) if series.interval else 0
+    daily_lag = int(round(86400.0 / series.interval))
     seasonal = None
     if daily_lag >= 2 and len(series) > 2 * daily_lag:
         max_lag = min(len(series) - 1, 4 * daily_lag)
@@ -622,6 +622,3 @@ def main(argv=None) -> int:
         _err_line(type(exc).__name__, str(exc))
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

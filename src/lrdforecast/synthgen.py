@@ -9,6 +9,7 @@ so identical specs produce identical series on every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,10 @@ class GenSpec:
             raise InvalidSpec(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
-        if self.sigma <= 0:
-            raise InvalidSpec("sigma must be positive")
-        if self.offset < 0:
-            raise InvalidSpec("offset must be non-negative")
+        if not 0 < self.sigma < math.inf:
+            raise InvalidSpec(f"sigma must be finite and positive, got {self.sigma!r}")
+        if not 0 <= self.offset < math.inf:
+            raise InvalidSpec(f"offset must be finite and non-negative, got {self.offset!r}")
         if self.kind == FGN and not 0.0 < self.hurst < 1.0:
             raise InvalidSpec("fGn needs hurst in (0, 1)")
         if self.kind == ARFIMA and not -0.5 < self.d < 0.5:

@@ -366,18 +366,16 @@ class TestCrossval:
 
     def test_worker_env_parallelism_matches_serial(self, series_dir, tmp_path, monkeypatch,
                                                    workers):
-        # report.json is the same bytes for one process, two (under the
-        # variable's name and its old one) and the default, the usable cores
+        # report.json is the same bytes for one process, two and the
+        # default, the usable cores
         args = ("crossval", str(series_dir), "--window", "64", "--horizon", "4",
                 "--step", "30", "--methods", "naive,mean,arima")
-        settings = [{"LRDFORECAST_WORKERS": "1"}, {"LRDFORECAST_WORKERS": "2"},
-                    {"LRDFORECAST_THREADS": "2"}, {}]
         reports = []
-        for i, env in enumerate(settings):
-            for name in ("LRDFORECAST_WORKERS", "LRDFORECAST_THREADS"):
-                monkeypatch.delenv(name, raising=False)
-            for name, value in env.items():
-                monkeypatch.setenv(name, value)
+        for i, value in enumerate(["1", "2", None]):
+            if value is None:
+                monkeypatch.delenv("LRDFORECAST_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("LRDFORECAST_WORKERS", value)
             workers()
             assert run(*args, "--out-dir", str(tmp_path / str(i))) == 0
             reports.append((tmp_path / str(i) / "report.json").read_bytes())
@@ -386,19 +384,16 @@ class TestCrossval:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_env_is_validation_error(self, series_dir, tmp_path, capsys,
                                                 monkeypatch, value):
-        for name, other in (("LRDFORECAST_WORKERS", "LRDFORECAST_THREADS"),
-                            ("LRDFORECAST_THREADS", "LRDFORECAST_WORKERS")):
-            monkeypatch.delenv(other, raising=False)
-            monkeypatch.setenv(name, value)
-            out = tmp_path / "out4"
-            rc = run("crossval", str(series_dir), "--out-dir", str(out))
-            assert rc == 1
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1
-            err = json.loads(err[0])
-            assert err["error"] == "validation"
-            assert name in err["message"]
-            assert not out.exists()
+        monkeypatch.setenv("LRDFORECAST_WORKERS", value)
+        out = tmp_path / "out4"
+        rc = run("crossval", str(series_dir), "--out-dir", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        err = json.loads(err[0])
+        assert err["error"] == "validation"
+        assert "LRDFORECAST_WORKERS" in err["message"]
+        assert not out.exists()
 
     def test_too_small_series_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.csv"

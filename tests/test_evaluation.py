@@ -436,7 +436,8 @@ class TestParallelOrigins:
         monkeypatch.setattr(_pool, "_CGROUP_ROOT", str(tmp_path))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         monkeypatch.delenv("LRDFORECAST_WORKERS", raising=False)
-        monkeypatch.delenv("LRDFORECAST_THREADS", raising=False)
+        assert _pool.worker_count() == count
+        monkeypatch.setenv("LRDFORECAST_THREADS", "8")  # the old name is not read
         assert _pool.worker_count() == count
         monkeypatch.setenv("LRDFORECAST_WORKERS", "8")  # never capped
         assert _pool.worker_count() == 8

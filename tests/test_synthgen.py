@@ -1,6 +1,8 @@
 """Generator determinism and distributional correctness against exact
 theoretical quantities."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, lfilter
@@ -192,6 +194,14 @@ class TestSeriesMetadata:
                  id="n0"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=10, offset=-1.0), InvalidSpec,
                  "offset", id="negative-offset"),
+    pytest.param(lambda: GenSpec(kind="white_noise", n=5, sigma=math.nan), InvalidSpec,
+                 "sigma must be finite and positive", id="nan-sigma"),
+    pytest.param(lambda: GenSpec(kind="white_noise", n=5, sigma=math.inf), InvalidSpec,
+                 "sigma must be finite and positive", id="inf-sigma"),
+    pytest.param(lambda: GenSpec(kind="white_noise", n=5, offset=math.nan), InvalidSpec,
+                 "offset must be finite and non-negative", id="nan-offset"),
+    pytest.param(lambda: GenSpec(kind="white_noise", n=5, offset=math.inf), InvalidSpec,
+                 "offset must be finite and non-negative", id="inf-offset"),
 ])
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):
