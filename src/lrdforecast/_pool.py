@@ -18,11 +18,11 @@ multiprocessing children, whose spawn and forkserver methods re-run the
 caller's ``__main__``: a script that calls ``rolling_cv`` unguarded would
 run again in every worker. Each talks to the caller over one duplex
 ``multiprocessing`` channel, a socket pair, one pickled message per task
-or reply. A worker takes 1-1.3 s of CPU to import lrdforecast, two thirds
-of it scipy.signal's package, so no call waits for one: the first call
-with at least two items launches up to one fewer workers than it has
-items, and a worker that reports ready while a call runs is handed part
-of what the caller has left of it.
+or reply. A worker takes about 0.35 s of CPU to import lrdforecast, most
+of it scipy.special (Python 3.11, scipy 1.17, one Xeon core), so no call
+waits for one: the first call with at least two items launches up to one
+fewer workers than it has items, and a worker that reports ready while a
+call runs is handed part of what the caller has left of it.
 
 The channel is the only way the caller learns that a worker failed: a
 worker replies, or the caller computes its block. A worker that ended, or

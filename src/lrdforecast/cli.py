@@ -150,9 +150,13 @@ def _fields(obj, *names) -> dict:
 
 
 def _analysis_doc(series: TimeSeries) -> dict:
+    per_day = 86400.0 / series.interval
+    if per_day == math.inf:  # an interval below about 4.8e-304 s
+        raise CliValidationError(f"sampling interval {series.interval}s is too short "
+                                 f"to count the observations in a day")
+    daily_lag = int(round(per_day))
     cls = classify_memory(series)
     adf = adf_test(series)
-    daily_lag = int(round(86400.0 / series.interval))
     seasonal = None
     if daily_lag >= 2 and len(series) > 2 * daily_lag:
         max_lag = min(len(series) - 1, 4 * daily_lag)

@@ -26,6 +26,16 @@ The results are the same bits as the public calls'. The private entry
 points are imported under guards, and without them the public calls are
 made.
 
+The native filter is scipy.signal._sigtools._linear_filter, but importing
+scipy.signal runs the whole package's __init__, scipy.stats included:
+0.91 s of CPU against 0.36 s for all of lrdforecast.cli (medians of 5
+fresh interpreters, Python 3.11, scipy 1.17, one Xeon core). So
+_native_filter loads the _sigtools extension from its file under the
+directory of the scipy imported, without that __init__. scipy does not
+promise that file layout: if the file is missing, does not load or lacks
+_linear_filter, every rational filter goes through scipy.signal.lfilter,
+imported at the first such call, with the same bits.
+
 Each operator has one entry point; (1-B)**d is fracdiff_of. Every
 truncated expansion goes through causal_convolver, which holds one
 operand of a causal convolution: directly with np.convolve up to 512
@@ -45,20 +55,43 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import lfilter
 
 from .errors import InvalidD, MalformedInput
 from .series import TimeSeries
 
-try:  # private, so guarded: without it every filter goes through lfilter
-    from scipy.signal._sigtools import _linear_filter
-except ImportError:
-    _linear_filter = None
+
+def _native_filter(scipy_dir: str):
+    """_linear_filter from the _sigtools extension file in scipy_dir/signal,
+    loaded without running scipy.signal's __init__; None when the file is
+    missing, does not load or lacks it."""
+    name = "scipy.signal._sigtools"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "signal", "_sigtools" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    try:
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    except ImportError:
+        return None
+    return getattr(module, "_linear_filter", None)
+
+
+# private, so guarded: without it every rational filter goes through lfilter
+_linear_filter = _native_filter(os.path.dirname(scipy.__file__))
+
 # The LAPACK gufuncs behind np.linalg.solve and np.linalg.eigvals. numpy 1.x
 # (numpy.linalg.linalg) and 2.x (numpy.linalg._linalg) both import them from
 # this extension module; private, so guarded: without them solve and roots
@@ -180,6 +213,7 @@ def linear_filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if a.size == 1:
         return np.convolve(b / a[0], x)[:x.size]
     if _linear_filter is None:
+        from scipy.signal import lfilter
         return lfilter(b, a, x)
     return _linear_filter(b, a, x, -1)
 

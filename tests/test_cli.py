@@ -435,9 +435,15 @@ class TestCrossval:
                  "input not found: {tmp}/absent.csv", id="missing-input"),
     pytest.param(["simulate", "--kind", "arma", "--phi", "0.5,x", "--n", "10", "--out", "{out}"],
                  "bad coefficient list '0.5,x'", id="bad-phi"),
+    # 86400 / 5e-324 overflows, so the daily lag cannot be counted
+    pytest.param(["analyze", "{tmp}/subnormal-step.csv", "--out", "{out}"],
+                 "sampling interval 5e-324s is too short to count the observations in a day",
+                 id="subnormal-interval"),
 ])
 def test_validation_error(tmp_path, capsys, argv, message):
     (tmp_path / "s.csv").write_text("timestamp,value\n0,1.0\n")
+    (tmp_path / "subnormal-step.csv").write_text(
+        "timestamp,value\n" + "".join(f"{i * 5e-324!r},{1 + i % 7}\n" for i in range(300)))
     (tmp_path / "empty").mkdir()
     out = tmp_path / "out"
     rc = run(*(a.format(tmp=tmp_path, out=out) for a in argv))

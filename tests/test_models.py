@@ -3,11 +3,16 @@ forecast behavior, cross-checked against closed forms and brute-force
 linear-projection oracles."""
 
 import dataclasses
+import importlib.machinery
+import os
+import shutil
+import subprocess
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
@@ -313,7 +318,64 @@ class TestNativeFilter:
                 (self.B, np.ones(1), x), (self.B, np.array([2.5]), x))
 
     def test_native_entry_point_is_present(self):
-        assert operators._linear_filter is not None
+        # loaded from the _sigtools extension file of the scipy imported, so
+        # at the CI floor (scipy 1.10) this checks the loader on that layout
+        native = operators._linear_filter
+        assert native is not None and native.__name__ == "_linear_filter"
+        path = native.__self__.__file__
+        assert os.path.dirname(path) == os.path.join(os.path.dirname(scipy.__file__), "signal")
+        assert os.path.basename(path).startswith("_sigtools.")
+
+    @staticmethod
+    def _fresh(code, *args):
+        """Run code in a new interpreter that turns every warning into an
+        error; the test modules import scipy.signal, so only a new process
+        shows what importing lrdforecast imports."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    # after the code under test: linear_filter, then a first import of
+    # scipy.signal, and the same bits from its lfilter, for _cases' 1-D IIR
+    # filter and its 2-D input
+    _SAME_BITS = (
+        "import numpy as np\n"
+        "b, a = np.array([1.0, 0.3, -0.2]), np.array([1.0, -0.5, 0.25])\n"
+        "rng = np.random.default_rng(12)\n"
+        "xs = rng.standard_normal(96), rng.standard_normal((2, 96))\n"
+        "ys = [operators.linear_filter(b, a, x) for x in xs]\n"
+        "from scipy.signal import lfilter\n"
+        "assert all(np.array_equal(y, lfilter(b, a, x)) for x, y in zip(xs, ys))\n"
+    )
+
+    @pytest.mark.parametrize("module", ["lrdforecast", "lrdforecast.cli"])
+    def test_import_leaves_scipy_signal_out(self, module):
+        # and a later import of scipy.signal still works
+        self._fresh(f"import sys, {module}\n"
+                    "assert 'scipy.signal' not in sys.modules\n"
+                    "from lrdforecast import operators\n"
+                    "assert operators._linear_filter is not None\n" + self._SAME_BITS)
+
+    @pytest.mark.parametrize("layout", ["missing", "not-an-extension", "other-extension"])
+    def test_unloadable_file_falls_back_to_lfilter(self, tmp_path, layout):
+        # scipy.__file__ points the lookup at tmp_path, where signal/_sigtools
+        # is absent, is not a shared library, or is one without PyInit__sigtools
+        target = tmp_path / "signal" / ("_sigtools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        if layout != "missing":
+            target.parent.mkdir()
+        if layout == "not-an-extension":
+            target.write_bytes(b"not a shared library")
+        elif layout == "other-extension":
+            shutil.copy(sys.modules["numpy.linalg._umath_linalg"].__file__, target)
+        assert operators._native_filter(str(tmp_path)) is None
+        self._fresh("import sys\n"
+                    "import scipy\n"
+                    "scipy.__file__ = sys.argv[1]\n"
+                    "from lrdforecast import operators\n"
+                    "assert operators._linear_filter is None\n"
+                    "assert 'scipy.signal' not in sys.modules\n" + self._SAME_BITS,
+                    str(tmp_path / "__init__.py"))
 
     def test_numpy_entry_points_are_present(self):
         # the gufuncs numpy.linalg itself calls, from its module at numpy 2
