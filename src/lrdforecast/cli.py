@@ -69,11 +69,8 @@ def _jsonify(obj):
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _write_json(path, doc) -> None:

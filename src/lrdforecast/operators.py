@@ -6,25 +6,27 @@ the causality and invertibility test, the admissibility test (causal,
 invertible, no common root), and the fractional differencing operator
 (1-B)**d with its expansion coefficients.
 
-Every filter goes through linear_filter, the damped solves of a CSS fit
-through solve and the roots of the common-root test through roots. Each
-calls the kernel behind its public counterpart without the public
-wrapper, which on the tiny arrays of a 96-point fit costs more than the
-kernel. Per call, public against here, over timings taken at different
-moments (numpy 2.4, scipy 1.17, one Xeon core):
+Every filter goes through linear_filter and the damped solves of a CSS
+fit through solve. Each calls the kernel behind its public counterpart
+without the public wrapper, which on the tiny arrays of a 96-point fit
+costs more than the kernel. Per call, public against here, over timings
+taken at different moments (numpy 2.4, scipy 1.17, one Xeon core):
 
 - lfilter, IIR, 96 points: 4.6-6.9 us against 1.8-2.9 us (scipy's native
   direct-form filter);
 - lfilter, FIR, 96 points: 15-16 us against 2.5-5.0 us (np.convolve, as
   lfilter);
 - np.linalg.solve, 5 x 5 to 11 x 11: 6.6-11 us against 2.9-5.3 us
-  (numpy's LAPACK gufunc solve1);
-- np.roots, degree 2 and 3: 21-36 us against 7.5-12 us (numpy's LAPACK
-  gufunc eigvals on a companion matrix built here).
+  (numpy's LAPACK gufunc solve1).
 
-The results are the same bits as the public calls'. The private entry
-points are imported under guards, and without them the public calls are
-made.
+The results are the same bits as the public calls'. The common-root test
+reads only the distances between the nonzero reciprocal roots of two
+monic polynomials, so _reciprocal_roots takes them straight from the
+LAPACK gufunc eigvals on a companion matrix built here, without np.roots'
+handling of leading zeros, roots at 0 and real roots: 6-10 us against
+25-45 us for np.roots, degree 1 to 3 (minima of 5 repeats, numpy 2.4, one
+core of a shared 2-core host). The private entry points are imported
+under guards, and without them the public calls are made.
 
 The native filter is scipy.signal._sigtools._linear_filter, but importing
 scipy.signal runs the whole package's __init__, scipy.stats included:
@@ -94,8 +96,8 @@ _linear_filter = _native_filter(os.path.dirname(scipy.__file__))
 
 # The LAPACK gufuncs behind np.linalg.solve and np.linalg.eigvals. numpy 1.x
 # (numpy.linalg.linalg) and 2.x (numpy.linalg._linalg) both import them from
-# this extension module; private, so guarded: without them solve and roots
-# make the public calls.
+# this extension module; private, so guarded: without them solve and
+# _reciprocal_roots make the public calls.
 try:
     from numpy.linalg._umath_linalg import eigvals as _eigvals
 except ImportError:
@@ -276,37 +278,27 @@ def causal_invertible(phi, theta) -> bool:
             and roots_outside_unit_circle(mapoly(theta)))
 
 
-def roots(p: np.ndarray) -> np.ndarray:
-    """np.roots(p) for a 1-D float p, the same bits without its wrappers.
-
-    Leading zeros are stripped, the eigenvalues of the companion matrix
-    come from the LAPACK gufunc that np.linalg.eigvals calls, they are cast
-    to real when every imaginary part is 0, and each stripped trailing zero
-    adds a root at 0. A companion matrix that is not finite, which
-    np.linalg.eigvals refuses, and eigenvalues that did not converge (NaN,
-    with an invalid operation flagged, so call it where those are ignored,
-    as admissible does) go to np.roots, which raises LinAlgError for both.
-    """
-    if _eigvals is None:
-        return np.roots(p)
-    nonzero = [i for i, c in enumerate(p.tolist()) if c]
-    if not nonzero:
-        return np.roots(p)
-    lead, last = nonzero[0], nonzero[-1]
-    if last > lead:
-        comp = np.eye(last - lead, k=-1)
-        comp[0] = -p[lead + 1 : last + 1] / p[lead]
-        if not all(map(math.isfinite, comp[0].tolist())):
-            return np.roots(p)
+def _reciprocal_roots(poly: np.ndarray) -> np.ndarray:
+    """The nonzero roots of poly = arpoly(phi) or mapoly(theta) read in
+    descending powers, the reciprocals of the roots of phi(B) or theta(B):
+    the complex eigenvalues of the companion matrix of poly without its
+    trailing zeros (0 x 0 when every coefficient past poly[0] == 1 is zero),
+    from the LAPACK gufunc that np.linalg.eigvals calls. Without that
+    gufunc, or when an eigenvalue did not converge (NaN, with an invalid
+    operation flagged, so call it where those are ignored, as admissible
+    does), np.roots(poly), which raises LinAlgError for the latter and adds
+    a root at 0 per trailing zero."""
+    c = poly.tolist()
+    last = len(c) - 1
+    while last and not c[last]:
+        last -= 1
+    if _eigvals is not None:
+        comp = np.eye(last, k=-1)
+        comp[:1] = -poly[1 : last + 1]
         w = _eigvals(comp, signature="d->D")
-        if not all(map(cmath.isfinite, w.tolist())):
-            return np.roots(p)
-        if not w.imag.any():
-            w = w.real
-    else:
-        w = np.zeros(0)
-    trailing = p.size - 1 - last
-    return np.concatenate((w, np.zeros(trailing, w.dtype))) if trailing else w
+        if all(map(cmath.isfinite, w.tolist())):
+            return w
+    return np.roots(poly)
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,14 +317,18 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def admissible(phi, theta) -> bool:
     """Causality and invertibility, and no (near-)common root between phi(B)
     and theta(B), since a shared factor cancels and leaves the
-    parameterisation unidentified."""
+    parameterisation unidentified: no roots 1/a of phi(B) and 1/b of
+    theta(B) lie within _COMMON_ROOT_TOL of each other, |1/a - 1/b| =
+    |a - b| / |a b| over the reciprocal roots of _reciprocal_roots. These
+    come from monic polynomials, so a subnormal top coefficient cannot
+    overflow, and are nonzero: a zero would give a distance of inf or NaN,
+    never below the tolerance."""
     if not causal_invertible(phi, theta):
         return False
     if len(phi) and len(theta):
-        # the reciprocal roots come from monic polynomials, so a subnormal top
-        # coefficient cannot overflow; |1/a - 1/b| = |a - b| / |a b|
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ra, rm = roots(arpoly(phi))[:, None], roots(mapoly(theta))[None, :]
+            ra = _reciprocal_roots(arpoly(phi))[:, None]
+            rm = _reciprocal_roots(mapoly(theta))[None, :]
             dist = np.abs(ra - rm) / np.abs(ra * rm)
         if np.any(dist < _COMMON_ROOT_TOL):
             return False

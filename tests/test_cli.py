@@ -7,7 +7,16 @@ import os
 import numpy as np
 import pytest
 
-from lrdforecast import TransformSpec, fit, forecast, ingest_csv, rebind, transform
+from lrdforecast import (
+    CvConfig,
+    TransformSpec,
+    fit,
+    forecast,
+    ingest_csv,
+    rebind,
+    rolling_cv,
+    transform,
+)
 from lrdforecast.cli import _model_doc, _model_from_doc, _write_json, main
 
 
@@ -208,6 +217,30 @@ class TestFitForecast:
         assert run("fit", str(sim_csv), "--family", "naive", "--out", str(model)) == 0
         assert json.loads(model.read_text())["family"] == "naive"
 
+    def test_naive_fit_on_three_rows_has_no_aicc(self, tmp_path):
+        # two differences leave no degrees of freedom, and the NaN AICc is
+        # written as null
+        path, model = tmp_path / "three.csv", tmp_path / "m.json"
+        path.write_text("timestamp,value\n0,5.0\n60,6.0\n120,5.5\n")
+        assert run("fit", str(path), "--family", "naive", "--out", str(model)) == 0
+        doc = json.loads(model.read_text())
+        assert doc["aicc"] is None and doc["n"] == 3
+
+    def test_raw_scale_model_round_trip(self, sim_csv, tmp_path):
+        # --lambda none fits the values as they are: the document's transform
+        # is null, and forecast reads it back and forecasts on the raw scale
+        model, fc = tmp_path / "model.json", tmp_path / "fc.csv"
+        assert run("fit", str(sim_csv), "--family", "arima", "--lambda", "none",
+                   "--out", str(model)) == 0
+        doc = json.loads(model.read_text())
+        assert doc["transform"] is None
+        assert run("forecast", "--model", str(model), "--series", str(sim_csv),
+                   "--steps", "4", "--out", str(fc)) == 0
+        series = ingest_csv(str(sim_csv))
+        expected = forecast(rebind(_model_from_doc(doc), series), 4)
+        rows = [line.split(",") for line in fc.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows] == [f"{v:.9g}" for v in expected.point]
+
     def test_bad_family(self, sim_csv, tmp_path):
         rc = run("fit", str(sim_csv), "--family", "ets", "--out", str(tmp_path / "m.json"))
         assert rc == 1
@@ -347,6 +380,23 @@ class TestCrossval:
         assert doc["config"]["max_horizon"] == 6  # flag wins
         assert doc["config"]["window"] == 96
         assert doc["config"]["methods"] == ["naive", "mean"]
+
+    def test_raw_scale_protocol(self, series_dir, tmp_path):
+        # --lambda none scores the raw values: the config's transform and the
+        # manifest's lambda are null, and the metrics are the library's
+        out = tmp_path / "raw"
+        assert run("crossval", str(series_dir), "--window", "96", "--horizon", "4",
+                   "--step", "40", "--methods", "naive,mean", "--lambda", "none",
+                   "--out-dir", str(out)) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["transform"] is None
+        assert json.loads((out / "run-manifest.json").read_text())["options"]["lambda"] is None
+        config = CvConfig(window=96, max_horizon=4, step=40, methods=("naive", "mean"),
+                          transform=None)
+        report = rolling_cv(ingest_csv(str(series_dir / "s1.csv")), config)
+        for m in config.methods:
+            expected = [float(f"{v:.9g}") for v in report.per_method[m].mape]
+            assert doc["series"][0]["cv"]["metrics"][m]["mape"] == expected
 
     @pytest.mark.parametrize("bad", [
         {"window": "abc"}, {"level": [0.9]}, {"methods": 5},

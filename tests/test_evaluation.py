@@ -455,25 +455,23 @@ class TestParallelOrigins:
 
     def test_worker_that_ended_before_its_task_is_sent_has_its_block_computed_here(
             self, workers, monkeypatch):
-        # every worker ends between being seen ready and being sent a task:
-        # the send fails, and the caller computes the block
+        # every worker ends just before it is sent a task: the send fails,
+        # and the caller computes the block
         s = self._series()
         serial = evaluation._score_origins(s, s, self.CONFIG, self.ORIGINS)
-        pool, real, ended = workers(2), _pool.Pool.ready, []
+        pool, real, ended = workers(2), Connection.send, []
 
-        def ending(self, want, busy=()):
-            idle = real(self, want, busy)
-            for w in idle:
-                w.proc.kill()
-                w.proc.wait()
-                ended.append(w)
-            return idle
+        def ending(conn, obj):
+            w = next(w for w in pool._workers if w.conn is conn)
+            w.proc.kill()
+            w.proc.wait()
+            ended.append(w)
+            real(conn, obj)
 
-        monkeypatch.setattr(_pool.Pool, "ready", ending)
-        sent = _spied_tasks(monkeypatch)
+        monkeypatch.setattr(Connection, "send", ending)
         out = _pool.map_shards(evaluation._score_origins, (s, s, self.CONFIG), self.ORIGINS)
         _same_outcomes(serial, out)
-        assert ended and len(sent) == len(ended)
+        assert ended
         assert not any(w in pool._workers for w in ended)
 
     def test_caller_exception_is_raised_first(self, workers, monkeypatch):

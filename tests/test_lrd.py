@@ -307,6 +307,16 @@ class TestSeasonalDiagnostic:
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: seasonal_peak_diagnostic(acf(_wn(100, 0), 10), 1), MalformedInput,
                  "daily_lag", id="daily-lag-1"),
+    # 8 points leave one block size, 2
+    pytest.param(lambda: hurst_aggregated_variance(_wn(8, 0)), SeriesTooShort,
+                 "fewer than 4 usable block sizes", id="aggregated-variance-8"),
+    pytest.param(lambda: hurst_rescaled_range(_wn(15, 0)), SeriesTooShort,
+                 "at least 16 observations", id="rescaled-range-15"),
+    # 40 points leave three scales, 40, 20 and 10
+    pytest.param(lambda: hurst_rescaled_range(_wn(40, 0)), SeriesTooShort,
+                 "fewer than 4 usable scales", id="rescaled-range-40"),
+    pytest.param(lambda: hurst_periodogram(TimeSeries(np.full(128, 5.0))), ZeroVariance,
+                 "constant series", id="periodogram-constant"),
 ])
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):

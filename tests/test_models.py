@@ -298,15 +298,69 @@ def _outcome(f, *args):
 # degree 0-5 coefficients: exact zeros (trailing ones are roots at 0),
 # subnormals, and ordinary values
 _COEFS = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, 5e-324, -2.2e-313]))
+# the reciprocal roots of a factor of phi(B) or theta(B): one real, or a
+# complex pair from its modulus and angle, inside the unit circle
+_FACTOR = st.one_of(
+    st.floats(-0.95, 0.95).map(lambda r: [r]),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 3.1)).map(
+        lambda m_a: [m_a[0] * np.exp(1j * m_a[1]), m_a[0] * np.exp(-1j * m_a[1])]),
+)
+
+
+def _coefficients(factors, sign):
+    """The coefficients past the leading 1 of prod(1 - r B) over the
+    reciprocal roots r of factors, times sign: -1 gives phi, 1 theta."""
+    recips = [r for f in factors for r in f]
+    return (sign * np.atleast_1d(np.poly(recips)).real)[1:].tolist()
+
+
+@st.composite
+def _order_pair(draw):
+    """(phi, theta), lists of up to six coefficients: half drawn from
+    _COEFS, half from reciprocal roots, theta sharing some of phi's factors
+    scaled by up to 6% either way, about the common-root tolerance; either
+    may end in exact zeros or a subnormal."""
+    if draw(st.booleans()):
+        return draw(st.lists(_COEFS, max_size=5)), draw(st.lists(_COEFS, max_size=5))
+    ar = draw(st.lists(_FACTOR, max_size=2))
+    scales = st.floats(0.94, 1.06)
+    shared = [[r * draw(scales) for r in f] for f in ar if draw(st.booleans())]
+    ma = shared + draw(st.lists(_FACTOR, max_size=1))
+    tails = st.lists(st.sampled_from([0.0, -0.0, 5e-324]), max_size=2)
+    return _coefficients(ar, -1.0) + draw(tails), _coefficients(ma, 1.0) + draw(tails)
+
+
+def _admissible_np_roots(phi, theta):
+    """admissible's decision with np.roots for the roots: causal and
+    invertible, and no two reciprocal roots, a of phi(B) and b of theta(B),
+    with |a - b| / |a b| below the tolerance, roots at 0 included."""
+    if not causal_invertible(phi, theta):
+        return False
+    if len(phi) and len(theta):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ra, rm = np.roots(arpoly(phi))[:, None], np.roots(mapoly(theta))[None, :]
+            dist = np.abs(ra - rm) / np.abs(ra * rm)
+        if np.any(dist < operators._COMMON_ROOT_TOL):
+            return False
+    return True
+
+
+def _decision(f, phi, theta):
+    """f(phi, theta), or "LinAlgError" if it raised that."""
+    try:
+        return f(phi, theta)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
 
 
 class TestNativeFilter:
-    """linear_filter, solve and roots call scipy's and numpy's private entry
-    points behind lfilter, np.linalg.solve and np.roots (FIR filters the
-    np.convolve lfilter itself uses); these pin each to its public
-    counterpart bit for bit, natively and with the entry point patched to
-    None, so a scipy or numpy that moves or changes one fails here rather
-    than shifting fits."""
+    """linear_filter and solve call scipy's and numpy's private entry points
+    behind lfilter and np.linalg.solve (FIR filters the np.convolve lfilter
+    itself uses), and admissible's common-root test the one behind
+    np.linalg.eigvals; these pin the first two to their public counterparts
+    bit for bit and admissible to the decisions of that test on np.roots,
+    natively and with the entry point patched to None, so a scipy or numpy
+    that moves or changes one fails here rather than shifting fits."""
 
     B, A = np.array([1.0, 0.3, -0.2]), np.array([1.0, -0.5, 0.25])
     ENTRY_POINTS = ("_linear_filter", "_solve1", "_eigvals")
@@ -398,20 +452,23 @@ class TestNativeFilter:
 
     @pytest.mark.parametrize("native", [True, False])
     @settings(max_examples=300, deadline=None)
-    @example(poly=[1.0, 0.5, 0.0, 0.0])  # trailing zeros: two roots at 0
-    @example(poly=[0.0, 0.0, 2.0, -1.0])  # leading zeros
-    @example(poly=[0.0, -0.0])  # all zero
-    @example(poly=[3.0])  # degree 0
-    @example(poly=[1.0, 5e-324])  # a subnormal root
-    @example(poly=[5e-324, 1.0, 1.0])  # a subnormal lead overflows: LinAlgError
-    @example(poly=np.poly([0.5, 0.5, -0.8]).tolist())  # a repeated root
-    @example(poly=np.poly([0.3 + 0.4j, 0.3 - 0.4j, 0.9]).real.tolist())  # a complex pair
-    @example(poly=np.poly([0.7, 0.7, 0.7, 0.7, 0.7]).tolist())
-    @given(poly=st.lists(_COEFS, min_size=1, max_size=6))
-    def test_roots_bit_identical_to_np_roots(self, native, poly):
-        p = np.array(poly)
+    @example(pair=([0.5], [-0.5]))  # one common root
+    @example(pair=([0.5], [-0.512]))  # reciprocal roots 0.5 and 0.512: 0.047 apart
+    @example(pair=([0.5], [-0.513]))  # 0.5 and 0.513: 0.051 apart
+    @example(pair=([0.5, 0.0, 0.0], [-0.5, -0.0]))  # trailing zeros: roots at 0
+    @example(pair=([0.0], [0.0, -0.0]))  # every coefficient zero
+    @example(pair=([0.5], [1e-313]))  # a subnormal coefficient
+    @example(pair=([0.5, 5e-324], [-0.5]))  # a subnormal last coefficient
+    @example(pair=((-np.poly([0.5, 0.5]))[1:].tolist(), [-0.5]))  # a repeated root
+    @example(pair=((-np.poly([0.3 + 0.4j, 0.3 - 0.4j]).real)[1:].tolist(),
+                   np.poly([0.31 + 0.4j, 0.31 - 0.4j, 0.9]).real[1:].tolist()))  # a complex pair
+    @given(pair=_order_pair())
+    def test_admissible_same_decisions_as_np_roots(self, native, pair):
+        # the common-root test drops roots at 0 and the real cast, which
+        # change no distance below the tolerance
+        phi, theta = pair
         with mock.patch.object(operators, "_eigvals", operators._eigvals if native else None):
-            assert _outcome(operators.roots, p) == _outcome(np.roots, p)
+            assert _decision(admissible, phi, theta) == _decision(_admissible_np_roots, phi, theta)
 
     @pytest.mark.parametrize("native", [True, False])
     def test_solve_bit_identical_to_np_linalg_solve(self, monkeypatch, native):
@@ -624,6 +681,65 @@ def _lbfgsb_css(x, p, q):
         res = minimize(objective, np.zeros(p + q), jac=True, method="L-BFGS-B",
                        options={"maxiter": 1000, "gtol": 1e-8, "ftol": 1e-14})
     return float(res.fun)
+
+
+class TestCssFitExits:
+    """The exits of _css_fit and _search_orders that the fits above do not
+    take, each held to its documented outcome."""
+
+    X = np.random.default_rng(7).standard_normal(96)
+
+    @staticmethod
+    def _same_fit(a, b):
+        return a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+
+    def test_start_with_non_finite_css_falls_back_to_zero_coefficients(self):
+        # theta = 1e300 overflows the innovations; the fit restarts from zero
+        # coefficients at the start's d, so it is the fit from there
+        x, fracdiff = self.X, fracdiff_of(self.X)
+        assert self._same_fit(_css_fit(x, 1, 1, [0.5, 1e300]), _css_fit(x, 1, 1))
+        assert self._same_fit(_css_fit(x, 1, 1, [0.3, 0.5, 1e300], fracdiff),
+                              _css_fit(x, 1, 1, [0.3, 0.0, 0.0], fracdiff))
+
+    def test_stops_when_no_damping_lowers_the_css(self, monkeypatch):
+        # d starts on its lower bound with the gradient pointing out, so it
+        # is held, and phi is least squares at d = 0: on this scale the
+        # rounding in the gradient exceeds the tolerance, yet no step lowers
+        # the CSS, so lam grows tenfold from 1e-3 to 1e10 and the fit returns
+        # its start with the start's CSS
+        x = 1e6 * np.random.default_rng(1).standard_normal(96)
+        start = np.concatenate(([0.0], models._ols_ar(x, 1)))
+        solves, real = [], models.solve
+        monkeypatch.setattr(models, "solve", lambda a, b: solves.append(a.shape) or real(a, b))
+        params, css, ok = _css_fit(x, 1, 0, start, fracdiff_of(x))
+        assert solves == [(1, 1)] * 14
+        z = innovations(x, start[1:], np.zeros(0))
+        assert params.tobytes() == start.tobytes() and css == float(z @ z) and ok
+
+    def test_path_without_admissible_point_returns_its_final_point(self):
+        # an explosive series: the least-squares phi lies above 1, and from
+        # there the path stays outside the causal region
+        t = np.arange(60.0)
+        x = 1.05**t + 0.01 * np.random.default_rng(1).standard_normal(60)
+        x = x - x.mean()
+        start = np.append(models._ols_ar(x, 1), 0.0)
+        assert start[0] > 1.0
+        params, css, ok = _css_fit(x, 1, 1, start)
+        z = innovations(x, params[:1], params[1:])
+        assert not ok and not admissible(params[:1], params[1:])
+        assert css == float(z @ z)
+
+    def test_search_skips_cells_without_degrees_of_freedom(self, monkeypatch):
+        # 30 points and up to 28 AR terms: the cells whose AICc denominator
+        # n - p - q - 2 - extra is not positive are never fitted
+        fitted, real = [], models._css_fit
+        monkeypatch.setattr(models, "_css_fit",
+                            lambda x, p, q, *a: fitted.append((x.size, p, q)) or real(x, p, q, *a))
+        model = fit_arima(generate(GenSpec(kind="white_noise", n=30, seed=3, offset=10.0)),
+                          max_p=28, max_q=0)
+        n, extra = 30 - model.spec.d, int(model.spec.include_mean)
+        assert fitted == [(n, p, 0) for p in range(29) if n - p - 2 - extra > 0]
+        assert len(fitted) < 29 and np.isfinite(model.aicc)
 
 
 class TestFitArfima:
