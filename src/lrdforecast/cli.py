@@ -122,10 +122,14 @@ def _to_float(text: str, what: str) -> float:
         raise CliValidationError(f"bad {what} {text!r}") from None
 
 
-def _parse_lambda(text: str):
+def _transform_of_lambda(value):
+    text = str(value)
     if text.lower() in ("none", "off"):
         return None
-    return _to_float(text, "lambda")
+    try:
+        return TransformSpec(lmbda=_to_float(text, "lambda"))
+    except MalformedInput as exc:  # a non-finite lambda
+        raise CliValidationError(str(exc)) from None
 
 
 def _parse_floats(text: str) -> tuple:
@@ -351,10 +355,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fit(args) -> int:
     _require_file(args.series)
+    spec = _transform_of_lambda(args.lmbda)  # a bad lambda fails before the ingest
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
-    lmbda = _parse_lambda(args.lmbda)
-    if lmbda is not None:
-        series = transform(series, TransformSpec(lmbda=lmbda))
+    if spec is not None:
+        series = transform(series, spec)
     model = fit(series, args.family, args.max_p, args.max_q, args.max_d)
     _write_json(args.out, _model_doc(model))
     _write_manifest(
@@ -420,11 +424,6 @@ def _methods(value) -> tuple:
     if isinstance(value, str):
         return tuple(m.strip() for m in value.split(",") if m.strip())
     return tuple(value)
-
-
-def _transform_of_lambda(value):
-    lmbda = _parse_lambda(str(value))
-    return None if lmbda is None else TransformSpec(lmbda=lmbda)
 
 
 # crossval options: flag dest, config-file key, CvConfig field, decoder. An

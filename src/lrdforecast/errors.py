@@ -80,8 +80,9 @@ class ConfigMismatch(LrdForecastError):
 
 
 class NonEmbeddableCovariance(LrdForecastError):
-    """Circulant embedding of the target covariance is not nonnegative
-    definite even after enlarging the embedding."""
+    """The circulant embedding of size 2n of the computed fGn covariance has
+    an eigenvalue below the rounding tolerance. The exact covariance embeds
+    at every H (Craigmile 2003), so the computed one has lost precision."""
 
 
 class InvalidSpec(LrdForecastError):

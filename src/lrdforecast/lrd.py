@@ -129,8 +129,6 @@ def hurst_aggregated_variance(series: TimeSeries) -> HurstEstimate:
     pts = []
     for m in sizes:
         k = n // m
-        if k < 2:
-            continue
         means = x[: k * m].reshape(k, m).mean(axis=1)
         v = float(means.var(ddof=1))
         if v > 0:

@@ -468,7 +468,7 @@ def fit_arima(
         raise MalformedInput("bad order bounds")
     for d in range(max_d + 1):
         wd = np.diff(series.values, n=d)
-        if wd.size >= 25 and adf_test(TimeSeries(wd)).stationary_at_5pct:
+        if adf_test(TimeSeries(wd)).stationary_at_5pct:
             break
     include_mean = ModelSpec(ARIMA, d=d).include_mean
     mu = float(wd.mean()) if include_mean else 0.0

@@ -37,6 +37,10 @@ class TransformSpec:
 
     lmbda: float = 0.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.lmbda):
+            raise MalformedInput(f"Box-Cox lambda must be finite, got {self.lmbda}")
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -265,13 +269,18 @@ def write_csv(series: TimeSeries, path) -> None:
 
 def boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
     """Box-Cox transform: log for lmbda=0, else (y**lmbda - 1) / lmbda.
-    Every lmbda needs positive values; any other is a NonPositiveValue."""
+    Every lmbda needs positive values; any other is a NonPositiveValue. A
+    lmbda under which some value overflows is a MalformedInput."""
     values = np.asarray(values, dtype=float)
     if np.any(values <= 0):
         raise NonPositiveValue("Box-Cox transform requires positive values")
     if lmbda == 0.0:
         return np.log(values)
-    return (np.power(values, lmbda) - 1.0) / lmbda
+    with np.errstate(over="ignore"):
+        w = (np.power(values, lmbda) - 1.0) / lmbda
+    if not np.isfinite(w).all():
+        raise MalformedInput(f"Box-Cox lambda {lmbda} overflows on these values")
+    return w
 
 
 def inv_boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:

@@ -26,7 +26,6 @@ RANDOM_WALK = "random_walk"
 KINDS = (WHITE_NOISE, ARMA, ARFIMA, FGN, RANDOM_WALK)
 
 _BURN_IN = 500
-_MAX_EMBED_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,8 @@ class GenSpec:
         if self.kind == ARFIMA and not -0.5 < self.d < 0.5:
             raise InvalidSpec("fractional generator needs d in (-0.5, 0.5)")
         if self.kind in (ARMA, ARFIMA) and not admissible(self.phi, self.theta):
-            raise InvalidSpec("phi/theta must be causal and invertible")
+            raise InvalidSpec("phi/theta must be causal and invertible and share no "
+                              "(near-)common root")
 
 
 def _fgn_autocov(lags: np.ndarray, hurst: float, sigma2: float) -> np.ndarray:
@@ -74,26 +74,27 @@ def _fgn_autocov(lags: np.ndarray, hurst: float, sigma2: float) -> np.ndarray:
 
 
 def _davies_harte_fgn(n: int, hurst: float, sigma: float, rng) -> np.ndarray:
-    """Exact fGn by circulant embedding of the covariance.
+    """Exact fGn by circulant embedding of the covariance (Davies & Harte
+    1987, Biometrika 74).
 
     The covariance sequence is wrapped onto a circle of size 2n and
     diagonalised by the FFT; the sample is the real part of the inverse
-    transform of sqrt(eigenvalue)-weighted complex Gaussian draws. If any
-    eigenvalue is negative the embedding is doubled before giving up.
+    transform of sqrt(eigenvalue)-weighted complex Gaussian draws. For fGn
+    this minimal embedding is nonnegative definite at every H in (0, 1)
+    (Craigmile 2003, J. Time Ser. Anal. 24), so a negative eigenvalue
+    beyond rounding comes from the computed covariance, which a larger
+    embedding does not repair: it is a NonEmbeddableCovariance at once.
     """
     m = 2 * n
-    for _ in range(_MAX_EMBED_DOUBLINGS):
-        g = _fgn_autocov(np.arange(m // 2 + 1), hurst, sigma**2)
-        c = np.concatenate([g, g[-2:0:-1]])
-        lam = np.fft.fft(c).real
-        if lam.min() > -1e-8 * max(1.0, lam.max()):
-            lam = np.clip(lam, 0.0, None)
-            break
-        m *= 2
-    else:
+    g = _fgn_autocov(np.arange(n + 1), hurst, sigma**2)
+    lam = np.fft.fft(np.concatenate([g, g[-2:0:-1]])).real
+    low, tol = lam.min(), -1e-8 * max(1.0, lam.max())
+    if not low > tol:
         raise NonEmbeddableCovariance(
-            f"circulant eigenvalues stayed negative up to embedding size {m}"
+            f"fGn with n={n}, H={hurst}: smallest circulant eigenvalue {low:.3g} "
+            f"is below {tol:.3g} at embedding size {m}"
         )
+    lam = np.clip(lam, 0.0, None)
     z = np.empty(m, dtype=complex)
     z[0] = rng.standard_normal() * np.sqrt(2.0)
     z[m // 2] = rng.standard_normal() * np.sqrt(2.0)

@@ -195,6 +195,18 @@ class TestFitForecast:
         assert np.all(rows[:, 2] <= rows[:, 1]) and np.all(rows[:, 1] <= rows[:, 3])
         assert np.all(rows[:, 2] > 0)
 
+    def test_overflowing_lambda_is_one_error_line(self, sim_csv, tmp_path, capsys):
+        # the simulated values exceed 1, so y ** 1e308 overflows
+        model = tmp_path / "model.json"
+        rc = run("fit", str(sim_csv), "--family", "naive", "--lambda", "1e308",
+                 "--out", str(model))
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "MalformedInput", "message": "Box-Cox lambda 1e+308 overflows on these values"}
+        assert not model.exists()
+
     @pytest.mark.parametrize("steps", [2**62, 2**63 - 1])
     def test_unaddressable_horizon_is_one_error_line(self, sim_csv, tmp_path, capsys, steps):
         model, fc = tmp_path / "model.json", tmp_path / "fc.csv"
@@ -299,6 +311,13 @@ class TestFitForecast:
                      id="false-applied"),
         pytest.param(json.dumps({**_ARIMA_DOC, "transform": [0.5, True]}),
                      id="list-transform"),
+        # Python's json writes and reads NaN and Infinity
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("nan"),
+                                                             "applied": True}}),
+                     id="nan-lambda"),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("inf"),
+                                                             "applied": True}}),
+                     id="infinite-lambda"),
         pytest.param(json.dumps({**_ARIMA_DOC, "mean": "1e3"}), id="string-mean"),
         pytest.param(json.dumps({**_ARIMA_DOC, "mean": float("inf")}), id="infinite-mean"),
         pytest.param(json.dumps({**_ARIMA_DOC, "sigma2": True}), id="boolean-sigma2"),
@@ -489,11 +508,24 @@ class TestCrossval:
     pytest.param(["analyze", "{tmp}/subnormal-step.csv", "--out", "{out}"],
                  "sampling interval 5e-324s is too short to count the observations in a day",
                  id="subnormal-interval"),
+    # a non-finite Box-Cox lambda fails before the series is read
+    pytest.param(["fit", "{tmp}/s.csv", "--family", "naive", "--lambda", "nan", "--out", "{out}"],
+                 "Box-Cox lambda must be finite, got nan", id="fit-nan-lambda"),
+    pytest.param(["fit", "{tmp}/s.csv", "--family", "naive", "--lambda=-inf", "--out", "{out}"],
+                 "Box-Cox lambda must be finite, got -inf",
+                 id="fit-infinite-lambda"),
+    pytest.param(["crossval", "{tmp}/s.csv", "--lambda", "inf", "--out-dir", "{out}"],
+                 "Box-Cox lambda must be finite, got inf", id="crossval-infinite-lambda"),
+    # Python's json reads NaN
+    pytest.param(["crossval", "{tmp}/s.csv", "--config", "{tmp}/nan-lambda.json",
+                  "--out-dir", "{out}"], "Box-Cox lambda must be finite, got nan",
+                 id="config-nan-lambda"),
 ])
 def test_validation_error(tmp_path, capsys, argv, message):
     (tmp_path / "s.csv").write_text("timestamp,value\n0,1.0\n")
     (tmp_path / "subnormal-step.csv").write_text(
         "timestamp,value\n" + "".join(f"{i * 5e-324!r},{1 + i % 7}\n" for i in range(300)))
+    (tmp_path / "nan-lambda.json").write_text('{"lambda": NaN}')
     (tmp_path / "empty").mkdir()
     out = tmp_path / "out"
     rc = run(*(a.format(tmp=tmp_path, out=out) for a in argv))

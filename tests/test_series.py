@@ -461,6 +461,15 @@ class TestAcf:
                  "unknown fill policy", id="unknown-fill"),
     pytest.param(lambda: acf(TimeSeries(np.arange(1.0, 11.0)), -1), MalformedInput,
                  "max_lag", id="negative-lag"),
+    pytest.param(lambda: TransformSpec(lmbda=math.nan), MalformedInput,
+                 "Box-Cox lambda must be finite, got nan", id="nan-lambda"),
+    pytest.param(lambda: TransformSpec(lmbda=-math.inf), MalformedInput,
+                 "Box-Cox lambda must be finite, got -inf", id="infinite-lambda"),
+    # 10 ** 1e308 and (1e-300) ** -2 overflow; neither may warn
+    pytest.param(lambda: transform(TimeSeries(np.array([0.5, 10.0])), TransformSpec(1e308)),
+                 MalformedInput, r"Box-Cox lambda 1e\+308 overflows", id="overflowing-lambda"),
+    pytest.param(lambda: transform(TimeSeries(np.array([1e-300, 2.0])), TransformSpec(-2.0)),
+                 MalformedInput, "Box-Cox lambda -2.0 overflows", id="overflowing-negative-lambda"),
 ])
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):

@@ -2,6 +2,7 @@
 theoretical quantities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.signal import fftconvolve, lfilter
 from lrdforecast import (
     GenSpec,
     InvalidSpec,
+    NonEmbeddableCovariance,
     TimeSeries,
     acf,
     classify_memory,
@@ -92,6 +94,33 @@ class TestFgn:
             x = s.values
             acc += np.array([np.mean(x[j:] * x[:-j]) for j in k])
         np.testing.assert_allclose(acc / len(list(seeds)), gamma, atol=0.06)
+
+
+class TestFgnEmbedding:
+    @pytest.mark.parametrize("hurst", [0.01, 0.999])
+    def test_long_series_embed_at_size_2n(self, hurst):
+        s = generate(GenSpec(kind="fgn", n=2**16, seed=1, hurst=hurst))
+        assert len(s) == 2**16 and np.all(np.isfinite(s.values))
+
+    def test_negative_eigenvalue_fails_at_once(self):
+        # at n = 2**18, H = 0.999 the computed covariance has a negative
+        # circulant eigenvalue (about -0.0063) at size 2n; a larger
+        # embedding would only allocate more before failing
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            with pytest.raises(NonEmbeddableCovariance) as info:
+                generate(GenSpec(kind="fgn", n=2**18, hurst=0.999))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * 2**20
+        info.match(r"^fGn with n=262144, H=0\.999: smallest circulant eigenvalue -0\.006\d* "
+                   r"is below -\S+ at embedding size 524288$")
 
 
 class TestArfimaGen:
@@ -202,6 +231,10 @@ class TestSeriesMetadata:
                  "offset must be finite and non-negative", id="nan-offset"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=5, offset=math.inf), InvalidSpec,
                  "offset must be finite and non-negative", id="inf-offset"),
+    # (1 - 0.5B) is both the AR and the MA polynomial: causal and invertible,
+    # but the common root cancels
+    pytest.param(lambda: GenSpec(kind="arma", n=10, phi=(0.5,), theta=(-0.5,)), InvalidSpec,
+                 r"causal and invertible and share no \(near-\)common root", id="common-root"),
 ])
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):
