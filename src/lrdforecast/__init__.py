@@ -80,4 +80,4 @@ from .series import (
 )
 from .synthgen import GenSpec, generate
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

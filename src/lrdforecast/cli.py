@@ -44,15 +44,9 @@ def _err_line(code: str, message: str) -> None:
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
 
 
-def _sig9(x: float):
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return None
-    return float(f"{float(x):.9g}")
-
-
 def _jsonify(obj):
     """Make a document JSON-safe: 9-significant-digit floats, lists for
-    arrays, None for NaN."""
+    arrays, None for NaN and for an infinity, which strict JSON lacks."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -64,7 +58,8 @@ def _jsonify(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return _sig9(float(obj))
+        obj = float(obj)
+        return float(f"{obj:.9g}") if math.isfinite(obj) else None
     return obj
 
 
@@ -177,16 +172,13 @@ def _analysis_doc(series: TimeSeries) -> dict:
     }
 
 
-def _transform_doc(spec: TransformSpec | None, applied: bool):
-    # "applied" is a format constant: true for a model, false for a config
-    if spec is None:
-        return None
-    return {"lambda": spec.lmbda, "applied": applied}
+def _transform_doc(spec: TransformSpec | None):
+    return None if spec is None else {"lambda": spec.lmbda}
 
 
 def _exactly(kind):
-    """A decoder that passes only values of this JSON type: no true for an
-    integer, no 0.5 or "300" for one, no "false" for a boolean."""
+    """A decoder that passes only values of this JSON type: no true, 0.5
+    or "300" for an integer."""
     def decode(value):
         if type(value) is not kind:
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
@@ -220,8 +212,6 @@ def _transform_from_doc(doc):
         return None
     if type(doc) is not dict:
         raise TypeError(f"expected null or an object, got {doc!r}")
-    if doc["applied"] is not True:  # a model's values are on its transform's scale
-        raise TypeError(f"expected applied true, got {doc['applied']!r}")
     return TransformSpec(lmbda=_real(doc["lambda"]))
 
 
@@ -232,7 +222,6 @@ _SPEC_FIELDS = (
     ("p", _exactly(int)),
     ("d", _number),
     ("q", _exactly(int)),
-    ("include_mean", _exactly(bool)),
 )
 _FIT_FIELDS = (
     ("phi", _floats),
@@ -249,24 +238,20 @@ _FIT_FIELDS = (
 def _model_doc(model: FittedModel) -> dict:
     doc = _fields(model.spec, *(key for key, _ in _SPEC_FIELDS))
     doc.update(_fields(model, *(key for key, _ in _FIT_FIELDS)))
-    doc["transform"] = _transform_doc(model.transform, applied=True)
+    doc["transform"] = _transform_doc(model.transform)
     return doc
 
 
 def _model_from_doc(doc: dict) -> FittedModel:
     try:
-        given = {key: decode(doc[key]) for key, decode in _SPEC_FIELDS}
-        include_mean = given.pop("include_mean")
-        spec = ModelSpec(**given)
+        spec = ModelSpec(**{key: decode(doc[key]) for key, decode in _SPEC_FIELDS})
         fitted = {key: decode(doc[key]) for key, decode in _FIT_FIELDS}
     except KeyError as exc:
         raise CliValidationError(f"model document lacks {exc}") from None
     except (TypeError, ValueError) as exc:  # MalformedInput is a ValueError too
         raise CliValidationError(f"bad model document: {exc}") from None
     phi, theta, mean, sigma2 = (fitted[key] for key in ("phi", "theta", "mean", "sigma2"))
-    if include_mean != spec.include_mean:
-        problem = f"include_mean={include_mean} contradicts {spec.family} with d={spec.d}"
-    elif (spec.p, spec.q) != (phi.size, theta.size):
+    if (spec.p, spec.q) != (phi.size, theta.size):
         problem = (f"p={spec.p}, q={spec.q} but {phi.size} phi and "
                    f"{theta.size} theta coefficients")
     elif not math.isfinite(mean):
@@ -281,14 +266,13 @@ def _model_from_doc(doc: dict) -> FittedModel:
 
 
 def _config_doc(config: CvConfig) -> dict:
-    doc = _fields(config, "window", "max_horizon", "step", "methods", "level")
-    doc["transform"] = _transform_doc(config.transform, applied=False)
+    doc = _fields(config, "window", "max_horizon", "step", "methods")
+    doc["transform"] = _transform_doc(config.transform)
     return doc
 
 
 def _cv_doc(report) -> dict:
     return {
-        "series_label": report.series_label,
         "metrics": {m: _fields(ms, "mae", "mape", "count")
                     for m, ms in report.per_method.items()},
         "improvements": {f"{b}_over_{a}": _fields(imp, "per_horizon", "mean", "max")
@@ -434,7 +418,6 @@ _CV_OPTIONS = (
     ("window", "window", "window", _exactly(int)),
     ("horizon", "horizon", "max_horizon", _exactly(int)),
     ("step", "step", "step", _exactly(int)),
-    ("level", "level", "level", _number),
 )
 
 
@@ -503,15 +486,7 @@ def _cmd_crossval(args) -> int:
     _write_manifest(
         os.path.join(args.out_dir, "run-manifest.json"),
         "crossval",
-        {
-            "inputs": [str(p) for p in paths],
-            "window": config.window,
-            "horizon": config.max_horizon,
-            "step": config.step,
-            "methods": list(config.methods),
-            "level": config.level,
-            "lambda": config.transform.lmbda if config.transform else None,
-        },
+        {"inputs": [str(p) for p in paths], **_config_doc(config)},
         paths,
     )
     for m, ms in pooled.per_method.items():
@@ -572,7 +547,8 @@ def _build_parser() -> _Parser:
                    help="AR order bound (default 5 for arima, 2 for arfima)")
     p.add_argument("--max-q", type=int, default=None,
                    help="MA order bound (default 5 for arima, 2 for arfima)")
-    p.add_argument("--max-d", type=int, default=2)
+    p.add_argument("--max-d", type=int, default=None,
+                   help="differencing order bound for arima (default 2)")
     p.add_argument("--out", required=True, help="output model JSON")
     p.set_defaults(func=_cmd_fit)
 
@@ -594,7 +570,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--step", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated subset of methods")
-    p.add_argument("--level", type=float, default=None)
     p.add_argument("--lambda", dest="lmbda", default=None,
                    help="Box-Cox lambda, or 'none' for the raw scale")
     p.add_argument("--config", default=None, help="flat JSON config file")

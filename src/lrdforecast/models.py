@@ -41,7 +41,6 @@ from scipy.special import ndtri
 from .errors import (
     DegenerateSampleSize,
     InvalidLevel,
-    LrdForecastError,
     MalformedInput,
     NoAdmissibleModel,
     SeriesTooShort,
@@ -554,8 +553,6 @@ def forecast(model: FittedModel, h: int, level: float = 0.95) -> ForecastResult:
         raise InvalidLevel(f"level {level} outside (0, 1)")
     try:
         return _forecast(model, h, level)
-    except LrdForecastError:
-        raise
     except (MemoryError, ValueError) as exc:  # numpy refusing h-length arrays
         raise MalformedInput(f"horizon {h} is too long to forecast: {exc}") from None
 

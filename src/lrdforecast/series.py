@@ -284,11 +284,14 @@ def boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
 
 
 def inv_boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
-    """Inverse of :func:`boxcox`."""
+    """Inverse of :func:`boxcox`. Past the transform's pole, where
+    lmbda * values + 1 <= 0, it returns the limit there: +inf for lmbda < 0
+    and 0 for lmbda > 0, so the map stays increasing."""
     values = np.asarray(values, dtype=float)
     if lmbda == 0.0:
         return np.exp(values)
-    return np.power(lmbda * values + 1.0, 1.0 / lmbda)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.power(np.maximum(lmbda * values + 1.0, 0.0), 1.0 / lmbda)
 
 
 def transform(series: TimeSeries, spec: TransformSpec) -> TimeSeries:

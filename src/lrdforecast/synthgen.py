@@ -58,6 +58,8 @@ class GenSpec:
             raise InvalidSpec(f"offset must be finite and non-negative, got {self.offset!r}")
         if self.kind == FGN and not 0.0 < self.hurst < 1.0:
             raise InvalidSpec("fGn needs hurst in (0, 1)")
+        if self.kind == FGN and not math.isfinite(self.sigma * self.sigma):
+            raise InvalidSpec(f"fGn needs a sigma whose square is finite, got {self.sigma!r}")
         if self.kind == ARFIMA and not -0.5 < self.d < 0.5:
             raise InvalidSpec("fractional generator needs d in (-0.5, 0.5)")
         if self.kind in (ARMA, ARFIMA) and not admissible(self.phi, self.theta):

@@ -3,6 +3,7 @@ byte-level reproducibility."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -17,14 +18,16 @@ from lrdforecast import (
     rolling_cv,
     transform,
 )
-from lrdforecast.cli import _model_doc, _model_from_doc, _write_json, main
+from lrdforecast.cli import _jsonify, _model_doc, _model_from_doc, _write_json, main
 
 
 def run(*argv):
     return main(list(argv))
 
 
-# a well-formed ARIMA(1,1,0) model document; malformed cases edit one key
+# a well-formed ARIMA(1,1,0) model document; malformed cases edit one key. It
+# is in the 0.1.0 format, whose include_mean and transform "applied" keys the
+# reader now ignores
 _ARIMA_DOC = {
     "family": "arima", "p": 1, "d": 1, "q": 0, "include_mean": False,
     "phi": [0.3], "theta": [], "mean": 0.0, "sigma2": 0.01, "aicc": -100.0,
@@ -70,6 +73,17 @@ class TestSimulate:
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "validation", "message": "bad offset 'abc'"}
+        assert not out.exists()
+
+    def test_fgn_sigma_with_infinite_square_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run("simulate", "--kind", "fgn", "--n", "8", "--sigma", "1e200", "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [json.dumps({
+            "error": "InvalidSpec",
+            "message": "fGn needs a sigma whose square is finite, got 1e+200"})]
+        assert captured.out == ""
         assert not out.exists()
 
     def test_fractional_interval_analyzes(self, tmp_path):
@@ -179,8 +193,9 @@ class TestFitForecast:
         doc = json.loads(model.read_text())
         assert doc["family"] == "arfima"
         assert 0.0 <= doc["d"] < 0.5
-        assert doc["transform"] == {"lambda": 0.0, "applied": True}
+        assert doc["transform"] == {"lambda": 0.0}
         assert doc["sigma2"] > 0
+        assert "include_mean" not in doc  # ModelSpec derives it from family and d
 
     def test_forecast_csv(self, sim_csv, tmp_path):
         model = tmp_path / "model.json"
@@ -194,6 +209,27 @@ class TestFitForecast:
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert np.all(rows[:, 2] <= rows[:, 1]) and np.all(rows[:, 1] <= rows[:, 3])
         assert np.all(rows[:, 2] > 0)
+
+    def test_bound_past_the_box_cox_pole_is_infinite(self, tmp_path):
+        # under lambda = -1 the upper bounds of the last horizons have no
+        # preimage; they read inf, without a warning, not nan or a value
+        # below the lower bound
+        sim, model, fc = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "fc.csv"
+        assert run("simulate", "--kind", "arfima", "--d", "0.45", "--n", "400", "--seed", "1",
+                   "--sigma", "3", "--out", str(sim)) == 0
+        assert run("fit", str(sim), "--family", "arfima", "--lambda=-1", "--out", str(model)) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("forecast", "--model", str(model), "--series", str(sim),
+                       "--steps", "48", "--level", "0.99", "--out", str(fc)) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in fc.read_text().splitlines()[1:]])
+        assert np.all(rows[:, 2] <= rows[:, 1]) and np.all(rows[:, 1] <= rows[:, 3])
+        assert np.isinf(rows[-1, 3]) and np.isfinite(rows[:, :3]).all()
+
+    def test_non_finite_floats_are_null(self):
+        # strict JSON has no NaN or Infinity
+        assert _jsonify({"x": [np.nan, np.inf, -np.inf, 1.5]}) == {"x": [None, None, None, 1.5]}
 
     def test_overflowing_lambda_is_one_error_line(self, sim_csv, tmp_path, capsys):
         # the simulated values exceed 1, so y ** 1e308 overflows
@@ -293,30 +329,18 @@ class TestFitForecast:
         pytest.param(json.dumps({**_ARIMA_DOC, "phi": [1.5]}), id="non-causal-phi"),
         pytest.param(json.dumps({**_ARIMA_DOC, "q": 1, "theta": [-1.0]}),
                      id="non-invertible-theta"),
-        # the decoders take JSON integers and booleans only, not what casts to them
-        pytest.param(json.dumps({**_ARIMA_DOC, "include_mean": "false"}),
-                     id="string-include-mean"),
+        # the decoders take JSON integers only, not what casts to them
         pytest.param(json.dumps({**_ARIMA_DOC, "q": 0.5}), id="fractional-q"),
         pytest.param(json.dumps({**_ARIMA_DOC, "n": "300"}), id="string-n"),
         pytest.param(json.dumps({**_ARIMA_DOC, "n": 2.5}), id="fractional-n"),
-        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": "0.5",
-                                                             "applied": True}}),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": "0.5"}}),
                      id="string-lambda"),
-        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": 0.5,
-                                                             "applied": "false"}}),
-                     id="string-applied"),
-        # a model's values are on its transform's scale; the key is always true
-        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": 0.0,
-                                                             "applied": False}}),
-                     id="false-applied"),
         pytest.param(json.dumps({**_ARIMA_DOC, "transform": [0.5, True]}),
                      id="list-transform"),
         # Python's json writes and reads NaN and Infinity
-        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("nan"),
-                                                             "applied": True}}),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("nan")}}),
                      id="nan-lambda"),
-        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("inf"),
-                                                             "applied": True}}),
+        pytest.param(json.dumps({**_ARIMA_DOC, "transform": {"lambda": float("inf")}}),
                      id="infinite-lambda"),
         pytest.param(json.dumps({**_ARIMA_DOC, "mean": "1e3"}), id="string-mean"),
         pytest.param(json.dumps({**_ARIMA_DOC, "mean": float("inf")}), id="infinite-mean"),
@@ -325,11 +349,6 @@ class TestFitForecast:
         pytest.param(json.dumps({**_ARIMA_DOC, "phi": 0.5}), id="scalar-phi"),
         pytest.param(json.dumps({**_ARIMA_DOC, "aicc": "3"}), id="string-aicc"),
         pytest.param(json.dumps({**_ARIMA_DOC, "loglik": False}), id="boolean-loglik"),
-        # include_mean is derived from family and d; a document may not contradict it
-        pytest.param(json.dumps({**_ARIMA_DOC, "include_mean": True}),
-                     id="differenced-arima-with-mean"),
-        pytest.param(json.dumps({**_ARFIMA_DOC, "include_mean": False}),
-                     id="arfima-without-mean"),
     ])
     def test_malformed_model_document(self, sim_csv, tmp_path, capsys, content):
         model, out = tmp_path / "bad.json", tmp_path / "fc.csv"
@@ -343,12 +362,19 @@ class TestFitForecast:
 
     @pytest.mark.parametrize("doc", [_ARIMA_DOC, _ARFIMA_DOC], ids=["arima", "arfima"])
     def test_well_formed_model_document_forecasts(self, sim_csv, tmp_path, doc):
-        # the malformed cases above differ from these in one key each
-        model, out = tmp_path / "good.json", tmp_path / "fc.csv"
-        model.write_text(json.dumps(doc))
-        assert run("forecast", "--model", str(model), "--series", str(sim_csv),
-                   "--steps", "4", "--out", str(out)) == 0
-        assert len(out.read_text().splitlines()) == 5
+        # the malformed cases above differ from these in one key each; the
+        # 0.1.0 document forecasts the same bytes as the current one
+        current = {k: v for k, v in doc.items() if k != "include_mean"}
+        current["transform"] = {"lambda": doc["transform"]["lambda"]}
+        tables = []
+        for i, content in enumerate([doc, current]):
+            model, out = tmp_path / f"good{i}.json", tmp_path / f"fc{i}.csv"
+            model.write_text(json.dumps(content))
+            assert run("forecast", "--model", str(model), "--series", str(sim_csv),
+                       "--steps", "4", "--out", str(out)) == 0
+            tables.append(out.read_bytes())
+        assert len(tables[0].splitlines()) == 5
+        assert tables[0] == tables[1]
 
 
 class TestCrossval:
@@ -386,6 +412,11 @@ class TestCrossval:
         assert imp[0] == "pair,horizon,improvement_pct"
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert len(manifest["inputs"]) == 2
+        # the manifest's options are the report's config and the input paths
+        inputs = [str(series_dir / "s1.csv"), str(series_dir / "s2.csv")]
+        assert manifest["options"] == {**doc["config"], "inputs": inputs}
+        assert all(set(entry["cv"]) == {"metrics", "improvements", "excluded_origins"}
+                   for entry in doc["series"])
 
     def test_config_file_with_flag_override(self, series_dir, tmp_path):
         cfg = tmp_path / "cv.json"
@@ -401,15 +432,15 @@ class TestCrossval:
         assert doc["config"]["methods"] == ["naive", "mean"]
 
     def test_raw_scale_protocol(self, series_dir, tmp_path):
-        # --lambda none scores the raw values: the config's transform and the
-        # manifest's lambda are null, and the metrics are the library's
+        # --lambda none scores the raw values: the config's transform, which the
+        # manifest repeats, is null, and the metrics are the library's
         out = tmp_path / "raw"
         assert run("crossval", str(series_dir), "--window", "96", "--horizon", "4",
                    "--step", "40", "--methods", "naive,mean", "--lambda", "none",
                    "--out-dir", str(out)) == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["config"]["transform"] is None
-        assert json.loads((out / "run-manifest.json").read_text())["options"]["lambda"] is None
+        assert json.loads((out / "run-manifest.json").read_text())["options"]["transform"] is None
         config = CvConfig(window=96, max_horizon=4, step=40, methods=("naive", "mean"),
                           transform=None)
         report = rolling_cv(ingest_csv(str(series_dir / "s1.csv")), config)
@@ -418,9 +449,9 @@ class TestCrossval:
             assert doc["series"][0]["cv"]["metrics"][m]["mape"] == expected
 
     @pytest.mark.parametrize("bad", [
-        {"window": "abc"}, {"level": [0.9]}, {"methods": 5},
-        # JSON integers and numbers only, not what casts to them
-        {"window": 96.7}, {"step": True}, {"window": "96"}, {"level": "0.9"},
+        {"window": "abc"}, {"methods": 5},
+        # JSON integers only, not what casts to them
+        {"window": 96.7}, {"step": True}, {"window": "96"},
     ])
     def test_config_value_of_wrong_type_is_validation_error(self, series_dir, tmp_path,
                                                              capsys, bad):
@@ -500,6 +531,9 @@ class TestCrossval:
                  "--level must lie in (0, 1)", id="level-1.5"),
     pytest.param(["crossval", "{tmp}/empty", "--out-dir", "{out}"],
                  "no .csv series in directory {tmp}/empty", id="empty-directory"),
+    # the interval level changes no cross-validation score, so crossval has no flag for it
+    pytest.param(["crossval", "{tmp}/s.csv", "--level", "0.9", "--out-dir", "{out}"],
+                 "unrecognized arguments: --level 0.9", id="crossval-level"),
     pytest.param(["crossval", "{tmp}/absent.csv", "--out-dir", "{out}"],
                  "input not found: {tmp}/absent.csv", id="missing-input"),
     pytest.param(["simulate", "--kind", "arma", "--phi", "0.5,x", "--n", "10", "--out", "{out}"],

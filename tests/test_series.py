@@ -399,6 +399,21 @@ class TestTransform:
         with pytest.raises(NonPositiveValue):
             transform(TimeSeries(np.array([1.0, bad])), TransformSpec(lmbda=lmbda))
 
+    @pytest.mark.parametrize("lmbda, limit", [(-0.8, math.inf), (-1.0, math.inf),
+                                              (0.5, 0.0), (2.0, 0.0)])
+    def test_inverse_past_the_pole_is_the_limit(self, lmbda, limit):
+        # lmbda * w + 1 <= 0 has no preimage; the inverse takes its limit
+        # there, so it stays increasing, and within its domain keeps its bits
+        pole = -1.0 / lmbda
+        w = np.array([pole - 10.0, pole - 1e-9, pole, pole + 1e-9, pole + 10.0])
+        with np.errstate(all="raise"):
+            out = series.inv_boxcox(w, lmbda)
+        beyond = lmbda * w + 1.0 <= 0.0
+        assert beyond.sum() >= 2 and np.all(out[beyond] == limit)
+        inside = np.power(lmbda * w[~beyond] + 1.0, 1.0 / lmbda)
+        np.testing.assert_array_equal(out[~beyond], inside)
+        assert np.all(out[1:] >= out[:-1])
+
     def test_inverse_requires_applied_transform(self):
         with pytest.raises(MalformedInput):
             inverse_transform(TimeSeries(np.array([1.0, 2.0])))

@@ -227,6 +227,9 @@ class TestSeriesMetadata:
                  "sigma must be finite and positive", id="nan-sigma"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=5, sigma=math.inf), InvalidSpec,
                  "sigma must be finite and positive", id="inf-sigma"),
+    # fGn's covariance scales with sigma squared, which must be finite too
+    pytest.param(lambda: GenSpec(kind="fgn", n=8, sigma=1e200), InvalidSpec,
+                 "fGn needs a sigma whose square is finite", id="fgn-sigma-squared-overflows"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=5, offset=math.nan), InvalidSpec,
                  "offset must be finite and non-negative", id="nan-offset"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=5, offset=math.inf), InvalidSpec,
