@@ -449,7 +449,7 @@ class TestCrossval:
             assert doc["series"][0]["cv"]["metrics"][m]["mape"] == expected
 
     @pytest.mark.parametrize("bad", [
-        {"window": "abc"}, {"methods": 5},
+        {"window": "abc"}, {"horizon": "4"}, {"methods": 5},
         # JSON integers only, not what casts to them
         {"window": 96.7}, {"step": True}, {"window": "96"},
     ])
