@@ -29,7 +29,9 @@ worker replies, or the caller computes its block. A worker that ended, or
 whose reply does not unpickle, is dropped and its block computed here, so
 an exception raised in a block reaches the caller as itself for any number
 of workers. Only an end, or another lrdforecast, before a worker reports
-ready turns the pool off. Workers are killed at exit.
+ready turns the pool off. Workers are killed at exit, and a worker scores
+its block one item at a time, so one whose caller was killed stops before
+its next item.
 """
 
 from __future__ import annotations
@@ -95,18 +97,28 @@ def _serve(fd: int) -> None:
     each ``(fn, args, items)`` task with ``_call_shard``'s ``(ok, value)``,
     an exception with the worker's traceback as a note. A reply that cannot
     be pickled ends the worker, and the caller computes that block itself.
-    It returns when the caller closes the channel."""
+    It returns when the caller closes the channel, or ends: the caller
+    sends nothing to a worker until it has replied, so a channel readable
+    between two items is at its end."""
     from multiprocessing.connection import Connection
 
     with Connection(fd) as conn:
         try:
             conn.send(_PACKAGE_FILE)
             while True:
-                ok, value = _call_shard(*conn.recv())
-                if not ok:
-                    text = "".join(traceback.format_exception(value))
-                    value.add_note(f"in an lrdforecast worker:\n{text}")
-                conn.send((ok, value))
+                fn, args, items = conn.recv()
+                reply = True, []
+                for i in range(len(items)):
+                    if conn.poll():  # the caller is gone
+                        return
+                    ok, value = _call_shard(fn, args, items[i:i + 1])
+                    if not ok:
+                        text = "".join(traceback.format_exception(value))
+                        value.add_note(f"in an lrdforecast worker:\n{text}")
+                        reply = False, value
+                        break
+                    reply[1].extend(value)
+                conn.send(reply)
         except (EOFError, ConnectionError):  # the caller is gone
             return
 

@@ -33,16 +33,16 @@ from .series import TimeSeries, TransformSpec, transform
 @dataclass(frozen=True)
 class CvConfig:
     """Cross-validation protocol: training window length, maximum forecast
-    horizon, origin stride, the methods to compare, the interval level, and
-    the transform applied to every training window (None fits on the raw
-    scale)."""
+    horizon, origin stride, the methods to compare, and the transform
+    applied to every training window (None fits on the raw scale)."""
 
     window: int = 96
     max_horizon: int = 48
     step: int = 1
     methods: tuple = (NAIVE, MEAN, ARIMA, ARFIMA)
-    level: float = 0.95
     transform: TransformSpec | None = TransformSpec(lmbda=0.0)
+    # not a field: no score depends on it; perfbench's exact-MAPE replay reads it
+    level = 0.95
 
     def __post_init__(self):
         if self.window < 2 or self.max_horizon < 1:
@@ -56,8 +56,6 @@ class CvConfig:
                 raise MalformedInput(f"unknown method {m!r}")
         if len(set(self.methods)) != len(self.methods):
             raise MalformedInput("duplicate methods")
-        if not 0.0 < self.level < 1.0:
-            raise MalformedInput("level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,6 @@ class CvReport:
     and the excluded origins; improvements and boxplot derive from them."""
 
     per_method: dict
-    series_label: str
     config: CvConfig
     excluded_origins: tuple = ()
 
@@ -217,7 +214,6 @@ def rolling_cv(series: TimeSeries, config: CvConfig) -> CvReport:
         per_method={m: MetricSet(np.asarray(errors[m]).reshape(-1, h),
                                  np.asarray(pct[m]).reshape(-1, h))
                     for m in config.methods},
-        series_label=series.label,
         config=config,
         excluded_origins=tuple(excluded),
     )
@@ -230,19 +226,14 @@ def _score_origins(series: TimeSeries, scaled: TimeSeries, config: CvConfig, ori
     pool's workers."""
     out = []
     for origin in origins:
-        win = TimeSeries(
-            scaled.values[origin - config.window : origin],
-            start_time=series.start_time + (origin - config.window) * series.interval,
-            interval=series.interval,
-            label=series.label,
-            transform=config.transform,
-        )
+        win = TimeSeries(scaled.values[origin - config.window : origin],
+                         transform=config.transform)
         actual = series.values[origin : origin + config.max_horizon]
         points = {}
         try:
             for m in config.methods:
                 model = fit(win, m)
-                points[m] = forecast(model, config.max_horizon, config.level).point
+                points[m] = forecast(model, config.max_horizon).point
         except (LrdForecastError, np.linalg.LinAlgError) as exc:
             out.append((origin, m, f"{type(exc).__name__}: {exc}"))
             continue
@@ -267,7 +258,6 @@ def aggregate_reports(reports) -> CvReport:
         per_method={m: MetricSet(np.vstack([r.per_method[m].errors for r in reports]),
                                  np.vstack([r.per_method[m].pct_errors for r in reports]))
                     for m in config.methods},
-        series_label=";".join(r.series_label for r in reports),
         config=config,
         excluded_origins=tuple(x for r in reports for x in r.excluded_origins),
     )

@@ -60,7 +60,6 @@ class HurstEstimate:
     quality. clamped marks an estimate pulled back into its admissible
     range."""
 
-    method: str
     h: float
     slope: float
     points: np.ndarray
@@ -138,7 +137,7 @@ def hurst_aggregated_variance(series: TimeSeries) -> HurstEstimate:
     pts = np.asarray(pts, dtype=float)
     slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
     h, clamped = _clamp(1.0 + slope / 2.0, 1e-6, 1.0 - 1e-6, AGGREGATED_VARIANCE)
-    return HurstEstimate(AGGREGATED_VARIANCE, h, slope, pts, r2, clamped)
+    return HurstEstimate(h, slope, pts, r2, clamped)
 
 
 def hurst_rescaled_range(series: TimeSeries) -> HurstEstimate:
@@ -185,7 +184,7 @@ def hurst_rescaled_range(series: TimeSeries) -> HurstEstimate:
         raise SeriesTooShort("fewer than 4 usable scales")
     pts = np.asarray(pts, dtype=float)
     slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
-    return HurstEstimate(RESCALED_RANGE, slope, slope, pts, r2)
+    return HurstEstimate(slope, slope, pts, r2)
 
 
 def hurst_periodogram(series: TimeSeries) -> HurstEstimate:
@@ -216,7 +215,7 @@ def hurst_periodogram(series: TimeSeries) -> HurstEstimate:
     pts = np.column_stack([lam[keep], spec[keep]])
     slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
     h, clamped = _clamp((1.0 - slope) / 2.0, 1e-6, 1.2, PERIODOGRAM)
-    return HurstEstimate(PERIODOGRAM, h, slope, pts, r2, clamped)
+    return HurstEstimate(h, slope, pts, r2, clamped)
 
 
 def adf_test(series: TimeSeries) -> AdfResult:

@@ -152,7 +152,6 @@ class ForecastResult:
     upper: np.ndarray
     psi: np.ndarray
     scale_sigma2: np.ndarray
-    level: float
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +596,6 @@ def _forecast(model: FittedModel, h: int, level: float) -> ForecastResult:
         upper=upper,
         psi=psi,
         scale_sigma2=var,
-        level=level,
     )
 
 

@@ -120,7 +120,6 @@ _DIRECT_MAX = 512
 class FracDiffCoeffs:
     """Series expansions of (1-B)**d (pi) and (1-B)**(-d) (eta)."""
 
-    d: float
     pi: np.ndarray
     eta: np.ndarray
 
@@ -161,9 +160,7 @@ def frac_diff_coeffs(d: float, length: int) -> FracDiffCoeffs:
     _check_d(d)
     if length < 1:
         raise MalformedInput("length must be >= 1")
-    return FracDiffCoeffs(
-        d=d, pi=fracdiff_weights(d, length), eta=fracdiff_weights(-d, length)
-    )
+    return FracDiffCoeffs(pi=fracdiff_weights(d, length), eta=fracdiff_weights(-d, length))
 
 
 def causal_convolver(held: np.ndarray, first: bool = True):

@@ -52,6 +52,8 @@ class GenSpec:
             raise InvalidSpec(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.sigma < math.inf:
             raise InvalidSpec(f"sigma must be finite and positive, got {self.sigma!r}")
         if not 0 <= self.offset < math.inf:

@@ -86,6 +86,17 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = run("simulate", "--kind", "white_noise", "--n", "10", "--seed", "-1",
+                 "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [json.dumps({
+            "error": "InvalidSpec", "message": "seed must be non-negative, got -1"})]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_fractional_interval_analyzes(self, tmp_path):
         out = tmp_path / "half.csv"
         assert run("simulate", "--kind", "fgn", "--hurst", "0.7", "--n", "512",

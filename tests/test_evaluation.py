@@ -103,6 +103,8 @@ class TestConfig:
         cfg = CvConfig()
         assert cfg.window == 96 and cfg.max_horizon == 48 and cfg.step == 1
         assert cfg.transform == TransformSpec(lmbda=0.0)
+        # a class constant, not a field: perfbench's exact-MAPE replay reads it
+        assert cfg.level == 0.95
 
     def test_bad_values(self):
         with pytest.raises(MalformedInput):
@@ -327,6 +329,16 @@ def _interrupt_first(items):
 
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
+
+
+def _ended(pid: int) -> bool:
+    """Whether the process has exited: it is gone, or a zombie, which its
+    new parent need not reap."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
 def _same_outcomes(a, b):
@@ -625,6 +637,40 @@ class TestParallelOrigins:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_worker_of_a_killed_caller_stops_within_an_origin(self):
+        # the worker is handed about 340 of the 1,357 origins, seconds of
+        # work; it checks for its caller before each one
+        caller = (
+            "import time\n"
+            "from lrdforecast import CvConfig, GenSpec, _pool, generate, rolling_cv\n"
+            "s = generate(GenSpec(kind='arfima', n=1500, seed=1, d=0.35, offset=50.0))\n"
+            "deadline = time.monotonic() + 120\n"
+            "while not _pool.POOL.ready(1):\n"
+            "    assert time.monotonic() < deadline, 'worker did not start'\n"
+            "    time.sleep(0.05)\n"
+            "print(_pool.POOL._workers[0].proc.pid, flush=True)\n"
+            "rolling_cv(s, CvConfig())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1",
+                   LRDFORECAST_WORKERS="2")
+        proc = subprocess.Popen([sys.executable, "-c", caller], stdout=subprocess.PIPE,
+                                text=True, env=env)
+        try:
+            pid = int(proc.stdout.readline())
+            time.sleep(1.0)  # the worker is inside its block
+            assert not _ended(pid)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        deadline = time.monotonic() + 1.0
+        while not _ended(pid):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                pytest.fail("the worker outlived its killed caller by over 1 s")
+            time.sleep(0.02)
+
 
 def _per_window_errors(series, cfg):
     """{method: (errors, pct_errors)} of rolling_cv's protocol with every
@@ -637,15 +683,15 @@ def _per_window_errors(series, cfg):
             win = transform(win, cfg.transform)
         actual = series.values[origin : origin + cfg.max_horizon]
         for m, (err, pct) in out.items():
-            e = actual - forecast(fit(win, m), cfg.max_horizon, cfg.level).point
+            e = actual - forecast(fit(win, m), cfg.max_horizon).point
             err.append(e)
             pct.append(100.0 * e / actual)
     return {m: (np.array(err), np.array(pct)) for m, (err, pct) in out.items()}
 
 
-def _report_from_matrices(cfg, label, err, pct):
+def _report_from_matrices(cfg, err, pct):
     per_method = {m: MetricSet(err[m], pct[m]) for m in cfg.methods}
-    return CvReport(per_method=per_method, series_label=label, config=cfg)
+    return CvReport(per_method=per_method, config=cfg)
 
 
 class TestAggregation:
@@ -668,7 +714,7 @@ class TestAggregation:
         for i, cnt in enumerate(counts):
             err = {m: rng.standard_normal((cnt, 4)) for m in cfg.methods}
             pct = {m: rng.standard_normal((cnt, 4)) * 10 for m in cfg.methods}
-            reps.append(_report_from_matrices(cfg, f"s{i}", err, pct))
+            reps.append(_report_from_matrices(cfg, err, pct))
         agg = aggregate_reports(reps)
         m = cfg.methods[0]
         manual = (
@@ -689,7 +735,7 @@ class TestAggregation:
                 better = base * rng.uniform(0.3, 0.95, size=(cnt, 4))
                 err = {"naive": base.copy(), "mean": better.copy()}
                 pct = {"naive": base, "mean": better}
-                reps.append(_report_from_matrices(cfg, f"s{i}", err, pct))
+                reps.append(_report_from_matrices(cfg, err, pct))
             agg = aggregate_reports(reps)
             assert agg.improvements[("naive", "mean")].mean > 0
 
@@ -760,7 +806,9 @@ _ONES_WITH_A_ZERO = TimeSeries(np.r_[np.full(60, 5.0), 0.0, np.full(39, 5.0)])
     pytest.param(lambda: CvConfig(window=1), MalformedInput, "window", id="window"),
     pytest.param(lambda: CvConfig(methods=()), MalformedInput, "at least one method",
                  id="no-methods"),
-    pytest.param(lambda: CvConfig(level=1.0), MalformedInput, "level", id="level"),
+    # the interval level changes no score, so a config does not take one
+    pytest.param(lambda: CvConfig(level=0.9), TypeError, "unexpected keyword argument 'level'",
+                 id="level"),
     pytest.param(lambda: aggregate_reports([]), MalformedInput, "no reports",
                  id="aggregate-nothing"),
     pytest.param(lambda: rolling_cv(_ONES_WITH_A_ZERO, _small_config(transform=None)),

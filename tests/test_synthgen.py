@@ -221,6 +221,9 @@ class TestSeriesMetadata:
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: GenSpec(kind="white_noise", n=0), InvalidSpec, "n must be",
                  id="n0"),
+    # numpy's generator would reject it with a bare ValueError
+    pytest.param(lambda: GenSpec(kind="white_noise", n=10, seed=-1), InvalidSpec,
+                 "seed must be non-negative, got -1", id="negative-seed"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=10, offset=-1.0), InvalidSpec,
                  "offset", id="negative-offset"),
     pytest.param(lambda: GenSpec(kind="white_noise", n=5, sigma=math.nan), InvalidSpec,
