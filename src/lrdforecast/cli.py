@@ -82,13 +82,21 @@ def _write_table(path, header: str, rows) -> None:
             fh.write(",".join(str(cell) for cell in row) + "\n")
 
 
-def _write_manifest(path, subcommand: str, options: dict, inputs) -> None:
+# parsed values that name the command or its outputs, not an option of the run
+_NOT_OPTIONS = ("func", "subcommand", "out", "out_dir")
+
+
+def _write_manifest(path, args, files, **resolved) -> None:
+    """Record every option the run read, each parsed flag replaced by the
+    value the command resolved from it where there is one, and the SHA-256
+    of each file it read."""
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     doc = {
         "tool": "lrdforecast",
         "version": __version__,
-        "subcommand": subcommand,
-        "options": options,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "subcommand": args.subcommand,
+        "options": {**options, **resolved},
+        "inputs": {str(p): _sha256(p) for p in files},
     }
     _write_json(path, doc)
 
@@ -162,12 +170,10 @@ def _analysis_doc(series: TimeSeries) -> dict:
         "label": series.label,
         "n": len(series),
         "interval": series.interval,
-        "hurst": {name: _fields(est, "h", "slope", "r_squared", "clamped", "points")
-                  for name, est in cls.h_by_method.items()},
+        "hurst": {name: dataclasses.asdict(est) for name, est in cls.h_by_method.items()},
         "h_median": cls.h_median,
         "verdict": cls.verdict,
-        "adf": _fields(adf, "statistic", "lags_used", "critical_values",
-                       "stationary_at_5pct"),
+        "adf": dataclasses.asdict(adf),
         "seasonal_peaks": seasonal,
     }
 
@@ -266,16 +272,14 @@ def _model_from_doc(doc: dict) -> FittedModel:
 
 
 def _config_doc(config: CvConfig) -> dict:
-    doc = _fields(config, "window", "max_horizon", "step", "methods")
-    doc["transform"] = _transform_doc(config.transform)
-    return doc
+    return {**dataclasses.asdict(config), "transform": _transform_doc(config.transform)}
 
 
 def _cv_doc(report) -> dict:
     return {
         "metrics": {m: _fields(ms, "mae", "mape", "count")
                     for m, ms in report.per_method.items()},
-        "improvements": {f"{b}_over_{a}": _fields(imp, "per_horizon", "mean", "max")
+        "improvements": {f"{b}_over_{a}": dataclasses.asdict(imp)
                          for (a, b), imp in report.improvements.items()},
         "excluded_origins": report.excluded_origins,
     }
@@ -301,20 +305,14 @@ def _cmd_simulate(args) -> int:
         interval=args.interval,
     )
     series = generate(spec)
-    values = series.values
     shift = 0.0
-    if auto and values.min() <= 0:
-        shift = float(np.ceil(1.0 - values.min()))
-        series = dataclasses.replace(series, values=values + shift)
+    if auto and series.values.min() <= 0:
+        shift = float(np.ceil(1.0 - series.values.min()))
+        # the same draws, shifted; generate rejects a shift that overflows them
+        series = generate(dataclasses.replace(spec, offset=shift))
     write_csv(series, args.out)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "simulate",
-        {**_fields(args, "kind", "n", "seed", "phi", "theta", "d", "hurst", "sigma",
-                   "offset", "interval"),
-         "applied_offset": shift if auto else offset},
-        [],
-    )
+    _write_manifest(args.out + ".manifest.json", args, [],
+                    applied_offset=shift if auto else offset)
     print(f"wrote {args.out} ({len(series)} observations, kind={args.kind})")
     return 0
 
@@ -324,12 +322,7 @@ def _cmd_analyze(args) -> int:
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
     doc = _analysis_doc(series)
     _write_json(args.out, doc)
-    _write_manifest(
-        args.out + ".manifest.json",
-        "analyze",
-        _fields(args, "series", "interval", "fill"),
-        [args.series],
-    )
+    _write_manifest(args.out + ".manifest.json", args, [args.series])
     med = doc["h_median"]
     print(f"{series.label}: verdict={doc['verdict']} (median H={med:.4f}), "
           f"adf={doc['adf']['statistic']:.3f}")
@@ -339,19 +332,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fit(args) -> int:
     _require_file(args.series)
-    spec = _transform_of_lambda(args.lmbda)  # a bad lambda fails before the ingest
+    spec = _transform_of_lambda(vars(args)["lambda"])  # a bad lambda fails before the ingest
     series = ingest_csv(args.series, interval_hint=args.interval, fill=args.fill)
     if spec is not None:
         series = transform(series, spec)
     model = fit(series, args.family, args.max_p, args.max_q, args.max_d)
     _write_json(args.out, _model_doc(model))
-    _write_manifest(
-        args.out + ".manifest.json",
-        "fit",
-        {**_fields(args, "series", "family", "max_p", "max_q", "max_d"),
-         "lambda": args.lmbda},
-        [args.series],
-    )
+    _write_manifest(args.out + ".manifest.json", args, [args.series])
     s = model.spec
     print(f"fitted {s.family}(p={s.p}, d={s.d:g}, q={s.q}) "
           f"aicc={model.aicc:.3f} sigma2={model.sigma2:.6g}")
@@ -375,12 +362,7 @@ def _cmd_forecast(args) -> int:
     _write_table(args.out, "horizon,point,lower,upper", (
         [h, *(f"{c[i]:.9g}" for c in columns)] for i, h in enumerate(result.horizons)
     ))
-    _write_manifest(
-        args.out + ".manifest.json",
-        "forecast",
-        _fields(args, "model", "series", "steps", "level"),
-        [args.model, args.series],
-    )
+    _write_manifest(args.out + ".manifest.json", args, [args.model, args.series])
     print(f"wrote {args.out} ({args.steps} horizons at level {args.level})")
     return 0
 
@@ -410,25 +392,25 @@ def _methods(value) -> tuple:
     return tuple(value)
 
 
-# crossval options: flag dest, config-file key, CvConfig field, decoder. An
-# option given neither way keeps CvConfig's default.
+# crossval options: CvConfig field, which is also the flag's dest, config-file
+# key, decoder. An option given neither way keeps CvConfig's default.
 _CV_OPTIONS = (
-    ("lmbda", "lambda", "transform", _transform_of_lambda),
-    ("methods", "methods", "methods", _methods),
-    ("window", "window", "window", _exactly(int)),
-    ("horizon", "horizon", "max_horizon", _exactly(int)),
-    ("step", "step", "step", _exactly(int)),
+    ("transform", "lambda", _transform_of_lambda),
+    ("methods", "methods", _methods),
+    ("window", "window", _exactly(int)),
+    ("max_horizon", "horizon", _exactly(int)),
+    ("step", "step", _exactly(int)),
 )
 
 
 def _crossval_config(args) -> CvConfig:
     given = {} if args.config is None else _read_json_object(args.config, "config")
-    for dest, key, _, _ in _CV_OPTIONS:
-        if getattr(args, dest) is not None:  # a flag beats the config file
-            given[key] = getattr(args, dest)
+    for field, key, _ in _CV_OPTIONS:
+        if getattr(args, field) is not None:  # a flag beats the config file
+            given[key] = getattr(args, field)
     try:
         return CvConfig(**{field: decode(given[key])
-                           for _, key, field, decode in _CV_OPTIONS if key in given})
+                           for field, key, decode in _CV_OPTIONS if key in given})
     except (TypeError, ValueError) as exc:  # MalformedInput is a ValueError too
         raise CliValidationError(f"bad crossval config: {exc}") from None
 
@@ -483,12 +465,9 @@ def _cmd_crossval(args) -> int:
          for m, q in boxplot.items() for i in horizons),
     )
 
-    _write_manifest(
-        os.path.join(args.out_dir, "run-manifest.json"),
-        "crossval",
-        {"inputs": [str(p) for p in paths], **_config_doc(config)},
-        paths,
-    )
+    _write_manifest(os.path.join(args.out_dir, "run-manifest.json"), args,
+                    paths + ([] if args.config is None else [args.config]),
+                    inputs=[str(p) for p in paths], **_config_doc(config))
     for m, ms in pooled.per_method.items():
         print(f"{m}: mean MAPE {ms.mape.mean():.3f}% over {ms.count} origins")
     print(f"wrote {report_path}")
@@ -541,7 +520,7 @@ def _build_parser() -> _Parser:
     p.add_argument("series")
     _add_io_flags(p)
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--lambda", dest="lmbda", default="0",
+    p.add_argument("--lambda", default="0",
                    help="Box-Cox lambda, or 'none' to fit on the raw scale")
     p.add_argument("--max-p", type=int, default=None,
                    help="AR order bound (default 5 for arima, 2 for arfima)")
@@ -567,10 +546,11 @@ def _build_parser() -> _Parser:
     p.add_argument("inputs", nargs="+", help="series CSVs and/or directories of them")
     _add_io_flags(p)
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", dest="max_horizon", metavar="HORIZON", type=int,
+                   default=None)
     p.add_argument("--step", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated subset of methods")
-    p.add_argument("--lambda", dest="lmbda", default=None,
+    p.add_argument("--lambda", dest="transform", metavar="LAMBDA", default=None,
                    help="Box-Cox lambda, or 'none' for the raw scale")
     p.add_argument("--config", default=None, help="flat JSON config file")
     p.add_argument("--out-dir", required=True)

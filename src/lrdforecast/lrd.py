@@ -84,10 +84,16 @@ class MemoryClassification:
     h_median: float
 
 
-def _loglog_fit(x, y):
-    """OLS of log10(y) on log10(x); returns slope and r_squared."""
+def _loglog_fit(x, y, method):
+    """OLS of log10(y) on log10(x); returns slope and r_squared. Every
+    estimate derives from the slope, which is finite when every log10(y)
+    is. A y that is not comes from values too large for the estimator's
+    sums of squares (near 1e154): a MalformedInput naming the estimator."""
     lx = np.log10(np.asarray(x, dtype=float))
     ly = np.log10(np.asarray(y, dtype=float))
+    if not np.isfinite(ly).all():
+        raise MalformedInput(f"{method}: the estimate is not finite; the values are "
+                             f"too large for its sums of squares")
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
     ss_res = float(np.sum((ly - fitted) ** 2))
@@ -105,6 +111,8 @@ def _clamp(h, lo, hi, method):
     return float(min(max(h, lo), hi)), True
 
 
+# an overflow shows as a point that is not finite, which _loglog_fit reports
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def hurst_aggregated_variance(series: TimeSeries) -> HurstEstimate:
     """Aggregated-variance Hurst estimator.
 
@@ -135,11 +143,12 @@ def hurst_aggregated_variance(series: TimeSeries) -> HurstEstimate:
     if len(pts) < 4:
         raise SeriesTooShort("fewer than 4 usable block sizes")
     pts = np.asarray(pts, dtype=float)
-    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1], AGGREGATED_VARIANCE)
     h, clamped = _clamp(1.0 + slope / 2.0, 1e-6, 1.0 - 1e-6, AGGREGATED_VARIANCE)
     return HurstEstimate(h, slope, pts, r2, clamped)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def hurst_rescaled_range(series: TimeSeries) -> HurstEstimate:
     """Rescaled-range (R/S) Hurst estimator.
 
@@ -183,10 +192,11 @@ def hurst_rescaled_range(series: TimeSeries) -> HurstEstimate:
     if len(pts) < 4:
         raise SeriesTooShort("fewer than 4 usable scales")
     pts = np.asarray(pts, dtype=float)
-    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1], RESCALED_RANGE)
     return HurstEstimate(slope, slope, pts, r2)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def hurst_periodogram(series: TimeSeries) -> HurstEstimate:
     """Periodogram Hurst estimator.
 
@@ -213,7 +223,7 @@ def hurst_periodogram(series: TimeSeries) -> HurstEstimate:
     if keep.sum() < 4:
         raise SeriesTooShort("fewer than 4 positive periodogram ordinates")
     pts = np.column_stack([lam[keep], spec[keep]])
-    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1])
+    slope, r2 = _loglog_fit(pts[:, 0], pts[:, 1], PERIODOGRAM)
     h, clamped = _clamp((1.0 - slope) / 2.0, 1e-6, 1.2, PERIODOGRAM)
     return HurstEstimate(h, slope, pts, r2, clamped)
 

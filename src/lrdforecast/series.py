@@ -286,11 +286,12 @@ def boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
 def inv_boxcox(values: np.ndarray, lmbda: float) -> np.ndarray:
     """Inverse of :func:`boxcox`. Past the transform's pole, where
     lmbda * values + 1 <= 0, it returns the limit there: +inf for lmbda < 0
-    and 0 for lmbda > 0, so the map stays increasing."""
+    and 0 for lmbda > 0, so the map stays increasing. A value whose inverse
+    overflows maps to +inf for every lmbda."""
     values = np.asarray(values, dtype=float)
-    if lmbda == 0.0:
-        return np.exp(values)
     with np.errstate(divide="ignore", over="ignore"):
+        if lmbda == 0.0:
+            return np.exp(values)
         return np.power(np.maximum(lmbda * values + 1.0, 0.0), 1.0 / lmbda)
 
 

@@ -110,6 +110,7 @@ def _davies_harte_fgn(n: int, hurst: float, sigma: float, rng) -> np.ndarray:
     return x.real[:n]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is checked for below
 def generate(spec: GenSpec) -> TimeSeries:
     """Generate the series described by spec.
 
@@ -117,7 +118,8 @@ def generate(spec: GenSpec) -> TimeSeries:
     discarded; both drive white noise through the inverse innovation filter
     theta(B)(1-B)**(-d)/phi(B) of lrdforecast.operators, with d = 0 for
     ARMA; the (1-B)**(-d) expansion is truncated at the simulated length.
-    Identical specs yield identical output.
+    Identical specs yield identical output. A sigma and offset under which
+    some value overflows are an InvalidSpec.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.n
@@ -132,5 +134,8 @@ def generate(spec: GenSpec) -> TimeSeries:
     else:  # FGN
         x = _davies_harte_fgn(n, spec.hurst, spec.sigma, rng)
     x = x + spec.offset
+    if not np.isfinite(x).all():
+        raise InvalidSpec(f"sigma {spec.sigma!r} with offset {spec.offset!r} overflows "
+                          f"the series")
     label = spec.label or f"{spec.kind}-n{spec.n}-seed{spec.seed}"
     return TimeSeries(x, start_time=0.0, interval=spec.interval, label=label)

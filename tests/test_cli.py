@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: exit codes, artifacts, manifests, and
 byte-level reproducibility."""
 
+import argparse
+import hashlib
 import json
 import os
 import warnings
@@ -10,15 +12,24 @@ import pytest
 
 from lrdforecast import (
     CvConfig,
+    GenSpec,
     TransformSpec,
     fit,
     forecast,
+    generate,
     ingest_csv,
     rebind,
     rolling_cv,
     transform,
 )
-from lrdforecast.cli import _jsonify, _model_doc, _model_from_doc, _write_json, main
+from lrdforecast.cli import (
+    _build_parser,
+    _jsonify,
+    _model_doc,
+    _model_from_doc,
+    _write_json,
+    main,
+)
 
 
 def run(*argv):
@@ -86,6 +97,27 @@ class TestSimulate:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "white_noise", "--n", "100", "--sigma", "1e308"],
+         "sigma 1e+308 with offset 0.0 overflows the series"),
+        (["--kind", "arfima", "--n", "100", "--d", "0.45", "--sigma", "1e306"],
+         "sigma 1e+306 with offset 0.0 overflows the series"),
+        # the draws are finite, but not once the automatic offset lifts them
+        (["--kind", "white_noise", "--n", "10", "--sigma", "1e308"],
+         "sigma 1e+308 with offset 1.2654214710460525e+308 overflows the series"),
+    ], ids=["white-noise", "arfima", "auto-offset"])
+    def test_overflowing_spec_is_one_error_line(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no raw numpy warning before the error
+            rc = run("simulate", *flags, "--out", str(out))
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [json.dumps({"error": "InvalidSpec",
+                                                         "message": message})]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = run("simulate", "--kind", "white_noise", "--n", "10", "--seed", "-1",
@@ -141,9 +173,11 @@ class TestAnalyze:
         doc = json.loads(report.read_text())
         assert doc["verdict"] == "LRD"
         assert set(doc["hurst"]) == {"aggregated_variance", "rescaled_range", "periodogram"}
+        # exact key sets: a new result field shows up as a format change
         for entry in doc["hurst"].values():
-            assert {"h", "slope", "r_squared", "points", "clamped"} <= set(entry)
-        assert "stationary_at_5pct" in doc["adf"]
+            assert set(entry) == {"h", "slope", "r_squared", "points", "clamped"}
+        assert set(doc["adf"]) == {"statistic", "lags_used", "critical_values",
+                                   "stationary_at_5pct"}
 
     def test_unknown_flag_exits_1_without_output(self, sim_csv, tmp_path, capsys):
         report = tmp_path / "never.json"
@@ -414,6 +448,9 @@ class TestCrossval:
         assert all("boxplot" not in entry["cv"] for entry in doc["series"])
         assert set(agg["boxplot"]) == {"naive", "mean", "arima"}
         assert len(agg["improvements"]) == 6
+        assert set(doc["config"]) == {"window", "max_horizon", "step", "methods", "transform"}
+        assert all(set(imp) == {"per_horizon", "mean", "max"}
+                   for imp in agg["improvements"].values())
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "method,horizon,mae,mape,count"
         assert len(metrics) == 1 + 3 * 8
@@ -423,9 +460,11 @@ class TestCrossval:
         assert imp[0] == "pair,horizon,improvement_pct"
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert len(manifest["inputs"]) == 2
-        # the manifest's options are the report's config and the input paths
+        # the manifest's options are the report's config, the input paths and
+        # the options that no config records
         inputs = [str(series_dir / "s1.csv"), str(series_dir / "s2.csv")]
-        assert manifest["options"] == {**doc["config"], "inputs": inputs}
+        assert manifest["options"] == {**doc["config"], "inputs": inputs,
+                                       "interval": None, "fill": None, "config": None}
         assert all(set(entry["cv"]) == {"metrics", "improvements", "excluded_origins"}
                    for entry in doc["series"])
 
@@ -441,6 +480,11 @@ class TestCrossval:
         assert doc["config"]["max_horizon"] == 6  # flag wins
         assert doc["config"]["window"] == 96
         assert doc["config"]["methods"] == ["naive", "mean"]
+        # the run read the config file: its path is an option, its digest an input
+        manifest = json.loads((out / "run-manifest.json").read_text())
+        assert manifest["options"]["config"] == str(cfg)
+        assert manifest["inputs"][str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert len(manifest["inputs"]) == 3
 
     def test_raw_scale_protocol(self, series_dir, tmp_path):
         # --lambda none scores the raw values: the config's transform, which the
@@ -532,6 +576,88 @@ class TestCrossval:
 
     def test_no_subcommand(self, capsys):
         assert run() == 1
+
+
+def _dests(subcommand) -> set:
+    """The names the subcommand's parser sets, outputs aside."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+    return {a.dest for a in sub.choices[subcommand]._actions
+            if a.default is not argparse.SUPPRESS} - {"out", "out_dir"}
+
+
+class TestManifest:
+    @pytest.fixture()
+    def gappy_csv(self, tmp_path):
+        # 400 hourly rows with three removed: the grid needs --fill locf
+        values = generate(GenSpec(kind="arfima", n=400, seed=2, d=0.3, offset=50.0)).values
+        path = tmp_path / "gappy.csv"
+        rows = (f"{3600 * i},{v!r}\n" for i, v in enumerate(values.tolist())
+                if i not in (100, 200, 300))
+        path.write_text("timestamp,value\n" + "".join(rows))
+        return path
+
+    # each subcommand's argv, its manifest, and the values it resolves that
+    # no flag sets
+    @pytest.mark.parametrize("argv, manifest, resolved", [
+        (["simulate", "--kind", "white_noise", "--n", "10", "--out", "{tmp}/w.csv"],
+         "w.csv.manifest.json", {"applied_offset"}),
+        (["analyze", "{csv}", "--out", "{tmp}/a.json"], "a.json.manifest.json", set()),
+        (["fit", "{csv}", "--family", "naive", "--out", "{tmp}/m2.json"],
+         "m2.json.manifest.json", set()),
+        (["forecast", "--model", "{tmp}/m.json", "--series", "{csv}", "--steps", "2",
+          "--out", "{tmp}/f.csv"], "f.csv.manifest.json", set()),
+        (["crossval", "{csv}", "--window", "96", "--horizon", "4", "--step", "100",
+          "--methods", "naive,mean", "--out-dir", "{tmp}/cv"], "cv/run-manifest.json", set()),
+    ], ids=["simulate", "analyze", "fit", "forecast", "crossval"])
+    def test_options_are_every_parsed_name(self, sim_csv, tmp_path, argv, manifest,
+                                           resolved):
+        if argv[0] == "forecast":
+            assert run("fit", str(sim_csv), "--family", "naive",
+                       "--out", str(tmp_path / "m.json")) == 0
+        assert run(*(a.format(tmp=tmp_path, csv=sim_csv) for a in argv)) == 0
+        options = json.loads((tmp_path / manifest).read_text())["options"]
+        assert set(options) == _dests(argv[0]) | resolved
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["fit", "{csv}", "--family", "arima", "--out", "{tmp}/m.json"],
+         "m.json.manifest.json"),
+        (["forecast", "--model", "{tmp}/m.json", "--series", "{csv}", "--steps", "3",
+          "--out", "{tmp}/f.csv"], "f.csv.manifest.json"),
+        (["crossval", "{csv}", "--window", "96", "--horizon", "4", "--step", "100",
+          "--methods", "naive,mean", "--out-dir", "{tmp}/cv"], "cv/run-manifest.json"),
+    ], ids=["fit", "forecast", "crossval"])
+    def test_fill_is_recorded(self, gappy_csv, tmp_path, capsys, argv, manifest):
+        argv = [a.format(tmp=tmp_path, csv=gappy_csv) for a in argv]
+        if argv[0] == "fit":  # the gaps fail the run without the fill
+            assert run(*argv) == 2
+            assert "IrregularGrid" in capsys.readouterr().err
+        else:
+            assert run("fit", str(gappy_csv), "--family", "arima", "--fill", "locf",
+                       "--out", str(tmp_path / "m.json")) == 0
+        assert run(*argv, "--fill", "locf") == 0
+        options = json.loads((tmp_path / manifest).read_text())["options"]
+        assert options["fill"] == "locf"
+        assert options["interval"] is None
+
+    def test_options_rerun_the_run(self, gappy_csv, tmp_path):
+        # fit and forecast again from nothing but the manifests' options
+        model, table = tmp_path / "m.json", tmp_path / "f.csv"
+        assert run("fit", str(gappy_csv), "--family", "arima", "--fill", "locf",
+                   "--lambda", "0.5", "--max-p", "2", "--out", str(model)) == 0
+        assert run("forecast", "--model", str(model), "--series", str(gappy_csv),
+                   "--fill", "locf", "--steps", "6", "--out", str(table)) == 0
+        for out in (model, table):
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            options = manifest["options"]
+            argv = [manifest["subcommand"]]
+            if argv[0] == "fit":  # its series is a positional argument
+                argv.append(options.pop("series"))
+            for key, value in options.items():
+                if value is not None:
+                    argv += [f"--{key.replace('_', '-')}", str(value)]
+            again = tmp_path / f"again-{out.name}"
+            assert run(*argv, "--out", str(again)) == 0
+            assert again.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("argv, message", [

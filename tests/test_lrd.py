@@ -3,6 +3,8 @@ seasonality diagnostic. Estimator accuracy at scale lives in the acceptance
 suite; here single seeds are frozen from oracle runs and calibration uses
 independent closed-form implementations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,14 @@ from lrdforecast.lrd import DF_CRITICAL_VALUES, MEDIAN_H_CRITICAL_VALUES, _media
 
 def _wn(n, seed):
     return generate(GenSpec(kind="white_noise", n=n, seed=seed))
+
+
+def _scaled_arfima(scale):
+    # an LRD series (median H 0.885) times scale: from about 1e152 the
+    # periodogram's |FFT|**2 overflows, from 1e154 every estimator's sums
+    # of squares do
+    x = generate(GenSpec(kind="arfima", n=1024, seed=1, d=0.4, offset=50.0)).values
+    return TimeSeries(x * scale)
 
 
 def _fgn(n, seed, hurst):
@@ -317,7 +327,21 @@ class TestSeasonalDiagnostic:
                  "fewer than 4 usable scales", id="rescaled-range-40"),
     pytest.param(lambda: hurst_periodogram(TimeSeries(np.full(128, 5.0))), ZeroVariance,
                  "constant series", id="periodogram-constant"),
+    # an estimate that is not finite names its estimator
+    pytest.param(lambda: hurst_aggregated_variance(_scaled_arfima(1e154)), MalformedInput,
+                 "aggregated_variance: the estimate is not finite",
+                 id="aggregated-variance-1e154"),
+    pytest.param(lambda: hurst_rescaled_range(_scaled_arfima(1e154)), MalformedInput,
+                 "rescaled_range: the estimate is not finite", id="rescaled-range-1e154"),
+    pytest.param(lambda: hurst_periodogram(_scaled_arfima(1e152)), MalformedInput,
+                 "periodogram: the estimate is not finite", id="periodogram-1e152"),
+    # not an SRD verdict from a NaN median, though the other two estimates are finite
+    pytest.param(lambda: classify_memory(_scaled_arfima(1e152)), MalformedInput,
+                 "periodogram: the estimate is not finite", id="classify-memory-1e152"),
 ])
 def test_typed_error(call, error, match):
-    with pytest.raises(error, match=match):
-        call()
+    # no numpy or package warning comes before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()

@@ -414,6 +414,12 @@ class TestTransform:
         np.testing.assert_array_equal(out[~beyond], inside)
         assert np.all(out[1:] >= out[:-1])
 
+    def test_log_inverse_overflows_to_inf_without_a_warning(self):
+        # the limit is +inf, as for every other lambda; finite results keep their bits
+        with np.errstate(all="raise"):
+            out = series.inv_boxcox(np.array([709.0, 710.0, 1e4]), 0.0)
+        np.testing.assert_array_equal(out, [np.exp(709.0), np.inf, np.inf])
+
     def test_inverse_requires_applied_transform(self):
         with pytest.raises(MalformedInput):
             inverse_transform(TimeSeries(np.array([1.0, 2.0])))

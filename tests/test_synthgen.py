@@ -241,6 +241,17 @@ class TestSeriesMetadata:
     # but the common root cancels
     pytest.param(lambda: GenSpec(kind="arma", n=10, phi=(0.5,), theta=(-0.5,)), InvalidSpec,
                  r"causal and invertible and share no \(near-\)common root", id="common-root"),
+    # valid specs whose draws overflow: the error names sigma and the offset
+    pytest.param(lambda: generate(GenSpec(kind="white_noise", n=100, sigma=1e308)),
+                 InvalidSpec, r"sigma 1e\+308 with offset 0.0 overflows the series",
+                 id="white-noise-overflows"),
+    pytest.param(lambda: generate(GenSpec(kind="arfima", n=100, d=0.45, sigma=1e306)),
+                 InvalidSpec, r"sigma 1e\+306 with offset 0.0 overflows the series",
+                 id="arfima-overflows"),
+    pytest.param(lambda: generate(GenSpec(kind="white_noise", n=10, sigma=1e308,
+                                          offset=1e308)),
+                 InvalidSpec, r"sigma 1e\+308 with offset 1e\+308 overflows the series",
+                 id="offset-overflows"),
 ])
 def test_typed_error(call, error, match):
     with pytest.raises(error, match=match):
